@@ -48,7 +48,7 @@ from .fracint import (
     rl_k_integral,
     validate,
 )
-from .inequalities import CHECKERS, check_instance, run_suite, summarize
+from .inequalities import CHECKERS, InequalityReport, check_instance, run_suite, summarize
 from .specfun import beta, gauss_2f1, log_gamma, pochhammer
 from .quadrature import gauss_jacobi_rule
 from .testfuncs import (
@@ -435,14 +435,9 @@ def _cmd_sweep(args) -> int:
             reason = (exc.violations[0]
                       if isinstance(exc, ValidationError) and exc.violations
                       else type(exc).__name__)
-            row = {"theorem": args.theorem, "seed": base.seed,
-                   "alpha": inst.params.alpha, "beta": inst.params.beta,
-                   "eta": inst.params.eta, "mu": inst.params.mu, "k": inst.params.k,
-                   "p": inst.p, "q": inst.q, "m": inst.m, "M": inst.M,
-                   "gamma": inst.gamma, "delta": inst.delta, "x": inst.x,
-                   "lhs": None, "rhs": None, "margin": None,
-                   "combined_error": None, "verdict": f"skipped: {reason}"}
-            rows.append(row)
+            rows.append(_row_dict(InequalityReport(
+                theorem_id=args.theorem, seed=base.seed, lhs=None, rhs=None, margin=None,
+                combined_error=None, verdict=f"skipped: {reason}", instance=inst)))
     if args.format == "json":
         text = _rows_to_json(rows)
     elif args.format == "human":
@@ -596,10 +591,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, ConstructionError) as exc:
+    except (ValidationError, DomainError, ConstructionError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, DivergenceError, EvaluationError, GenerationError) as exc:

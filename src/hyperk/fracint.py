@@ -25,10 +25,17 @@ smooth at u = 0, though: with the gap s = alpha - a - b = eta - beta - mu,
 so the integral is split at u = 1/2 and the lower half is fed through this
 connection formula, one Gauss-Jacobi rule per branch, each with the u^s
 power absorbed into its weight.  When a or b is a non-positive integer the
-2F1 is a polynomial and no split of the lower half is needed; when s sits
-within 1e-6 of an integer the connection coefficients become ill-conditioned
-and the value is instead Richardson-extrapolated across small eta offsets
-(the operator value is analytic in eta).
+2F1 is a polynomial and no split of the lower half is needed.
+
+None of this depends on f, so at rule order n the operator is a linear
+functional I[f](x) ~ w @ f(tau): the panels' nodes, mapped back to tau in
+(0, x), are concatenated, and the weights w carry the prefactor, the Jacobi
+weights, the 2F1 factor at each node and the connection coefficients.  When
+s sits within 1e-6 of an integer the connection coefficients become
+ill-conditioned; the value is then extrapolated across small eta offsets
+(the operator value is analytic in eta), and since that extrapolation is
+linear too, it is folded into w as well.  apply_operator builds w at orders
+n and 2n and evaluates f once on both node sets.
 """
 
 from __future__ import annotations
@@ -98,7 +105,9 @@ class OperatorResult:
     """Operator value with the refinement-based error estimate.
 
     ``error_estimate`` is |I at order_used - I at order_used/2|; the value
-    itself is the finer of the two.
+    itself is the finer of the two.  Near an integer gap, where the value
+    is extrapolated across eta offsets, the estimate is at least 1e-10
+    times |value|, the extrapolation's bias allowance.
     """
 
     value: float
@@ -269,12 +278,27 @@ def _connection_coefficients(alpha: float, a: float, b: float, s: float):
     return sign1, lg_alpha + lg_s + l_ca + l_cb, sign2, lg_alpha + lg_ns + l_a + l_b
 
 
-def _split_value(params: OperatorParams, f, x: float, n: int) -> float:
-    """One evaluation of the split discretization at rule order n.
+def _discretize(params: OperatorParams, x: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes tau in (0, x) and weights w with I[f](x) ~ w @ f(tau) at rule order n.
 
-    The routing below depends only on (params, x, n), never on f, so the
-    scheme is exactly linear in f up to round-off.
+    Prefactors, Jacobi weights, 2F1 node factors and connection
+    coefficients all fold into w, so the discretization depends only on
+    (params, x, n) and the operator is exactly linear in f.  Near an
+    integer gap it combines the discretizations at the offsets of
+    _nudge_offsets, each scaled by its extrapolation coefficient and the
+    pole factors prod (s0 + d - p) / (s0 - p).
     """
+    if _near_integer_gap(params):
+        s0 = params.eta - params.beta - params.mu
+        near = [p for p in (-(1.0 + params.mu) - j for j in range(3)) if abs(s0 - p) < 0.5]
+        taus, weights = [], []
+        for d, coef in zip(*_nudge_offsets(params)):
+            tau, w = _discretize(replace(params, eta=params.eta + d), x, n)
+            for p in near:
+                coef *= (s0 + d - p) / (s0 - p)
+            taus.append(tau)
+            weights.append(coef * w)
+        return np.concatenate(taus), np.concatenate(weights)
     alpha, beta_, eta, mu, k = params.alpha, params.beta, params.eta, params.mu, params.k
     a = alpha + beta_ + mu
     b = -eta
@@ -288,19 +312,7 @@ def _split_value(params: OperatorParams, f, x: float, n: int) -> float:
     )
 
     # upper half u in [1/2, 1]: u = 1 - v/2 exposes the weight v^(alpha-1),
-    # and the 2F1 argument v/2 stays in (0, 1/2) where the series is cheap
-    rule_hi = gauss_jacobi_rule(0.0, alpha - 1.0, n)
-
-    def upper(v):
-        return (
-            (1.0 - 0.5 * v) ** mu
-            * _series_2f1_vec(a, b, alpha, 0.5 * v)
-            * f(x * (1.0 - 0.5 * v) ** inv_kp1)
-        )
-
-    log_hi = (kp1 * (mu + alpha - 1.0) + k + 1.0) * log(x) - log(kp1) - alpha * _LOG2
-    total = exp(log_pre + log_hi) * integrate(rule_hi, upper)
-
+    # and the 2F1 argument v/2 stays in (0, 1/2) where the series is cheap.
     # lower half u in [0, 1/2]: work in tau over [0, tau_half] via
     # t = tau/tau_half, so u = t^(k+1)/2.  f(tau_half * t) is as smooth as
     # f itself; the only rough factor is the 2F1 argument's t^(k+1), whose
@@ -308,55 +320,45 @@ def _split_value(params: OperatorParams, f, x: float, n: int) -> float:
     # substitution leaves f with a t^(1/(k+1)) branch point, which is worse
     # for every non-constant f).  The weights t^((k+1)mu+k) and, in the
     # second connection branch, the extra u^s are exact Jacobi weights.
-    terminating = _is_nonpositive_integer(a) or _is_nonpositive_integer(b)
+    # When a or b is a non-positive integer the 2F1 is a polynomial and the
+    # lower half needs no connection split.
     tau_half = x * 2.0 ** (-inv_kp1)
     b_lo = kp1 * mu + k
-    log_lo = (b_lo + 1.0) * log(tau_half) + kp1 * (alpha - 1.0) * log(x)
-    if terminating:
-        rule = gauss_jacobi_rule(0.0, b_lo, n)
-
-        def lower(t):
-            z = 0.5 * t ** kp1
-            return (1.0 - z) ** (alpha - 1.0) * _series_2f1_vec(a, b, alpha, 1.0 - z) * f(tau_half * t)
-
-        total += exp(log_pre + log_lo) * integrate(rule, lower)
+    log_hi = log_pre + ((kp1 * (mu + alpha - 1.0) + k + 1.0) * log(x) - log(kp1) - alpha * _LOG2)
+    log_lo = log_pre + ((b_lo + 1.0) * log(tau_half) + kp1 * (alpha - 1.0) * log(x))
+    # (upper panel?, sign, log scale, rule exponent on the node variable,
+    #  2F1 parameters, 2F1 argument is u rather than 1 - u)
+    branches = [(True, 1.0, log_hi, alpha - 1.0, (a, b, alpha), False)]
+    if _is_nonpositive_integer(a) or _is_nonpositive_integer(b):
+        branches.append((False, 1.0, log_lo, b_lo, (a, b, alpha), False))
     else:
         sign1, log_c1, sign2, log_c2 = _connection_coefficients(alpha, a, b, s)
-        if sign1 != 0.0:
-            rule1 = gauss_jacobi_rule(0.0, b_lo, n)
+        branches.append((False, sign1, log_lo + log_c1, b_lo, (a, b, 1.0 - s), True))
+        branches.append((False, sign2, log_lo + log_c2 - s * _LOG2, b_lo + kp1 * s,
+                         (alpha - a, alpha - b, 1.0 + s), True))
 
-            def lower1(t):
-                z = 0.5 * t ** kp1
-                return (1.0 - z) ** (alpha - 1.0) * _series_2f1_vec(a, b, 1.0 - s, z) * f(tau_half * t)
-
-            total += sign1 * exp(log_pre + log_lo + log_c1) * integrate(rule1, lower1)
-        if sign2 != 0.0:
-            rule2 = gauss_jacobi_rule(0.0, b_lo + kp1 * s, n)
-
-            def lower2(t):
-                z = 0.5 * t ** kp1
-                return (1.0 - z) ** (alpha - 1.0) * _series_2f1_vec(alpha - a, alpha - b, 1.0 + s, z) * f(tau_half * t)
-
-            total += sign2 * exp(log_pre + log_lo + log_c2 - s * _LOG2) * integrate(rule2, lower2)
-    return total
-
-
-def _nudge_offsets(params: OperatorParams, delta: float) -> list[float]:
-    """Offsets in eta for the near-integer-gap extrapolation.
-
-    Symmetric pairs when the downward nudge keeps the integral convergent,
-    otherwise three one-sided steps upward.
-    """
-    s = params.eta - params.beta - params.mu
-    margin = 1e-6
-    down_ok = params.mu + min(s - 2.0 * delta, 0.0) > -1.0 + margin
-    if down_ok:
-        return [-2.0 * delta, -delta, delta, 2.0 * delta]
-    return [delta, 2.0 * delta, 3.0 * delta, 4.0 * delta]
+    taus, weights = [], []
+    for upper, sign, log_scale, b_exp, (ca, cb, cc), in_u in branches:
+        if sign == 0.0:
+            continue
+        rule = gauss_jacobi_rule(0.0, b_exp, n)
+        if upper:
+            one_minus_u = 0.5 * rule.nodes
+            u = 1.0 - one_minus_u
+            taus.append(x * u ** inv_kp1)
+            smooth = u ** mu
+        else:
+            u = 0.5 * rule.nodes ** kp1
+            one_minus_u = 1.0 - u
+            taus.append(tau_half * rule.nodes)
+            smooth = one_minus_u ** (alpha - 1.0)
+        series = _series_2f1_vec(ca, cb, cc, u if in_u else one_minus_u)
+        weights.append(sign * exp(log_scale) * rule.weights * smooth * series)
+    return np.concatenate(taus), np.concatenate(weights)
 
 
-def _nudged_value(params: OperatorParams, f, x: float, n: int) -> float:
-    """Extrapolated value across small eta offsets at rule order n.
+def _nudge_offsets(params: OperatorParams) -> tuple[list[float], list[float]]:
+    """Offsets in eta and the coefficients that extrapolate to offset 0.
 
     The value I(eta) is analytic in eta except for simple poles where the
     integral stops converging, at s = -(1 + mu) - j for integer j >= 0.
@@ -364,40 +366,23 @@ def _nudged_value(params: OperatorParams, f, x: float, n: int) -> float:
     margin mu + s + 1 can be small), which would make a plain Richardson
     step stall.  Multiplying the samples by (s - p) for each nearby pole p
     removes them, so the extrapolated quantity is analytic in a radius-0.5
-    disk at least and a centered Richardson step (or, when a downward
-    nudge would cross the convergence edge, a one-sided cubic fit)
-    recovers it with O(delta^4) error while every offset evaluation sees
-    a well-conditioned connection split.  delta trades the delta^4 bias
-    against the eps/delta rounding of the near-degenerate splits; 2e-4
-    keeps both a couple of orders below the 1e-10 relative floor that
-    apply_operator puts on the error estimate for this path.
+    disk at least and a centered Richardson step on symmetric pairs (or,
+    when a downward nudge would cross the convergence edge, the cubic
+    through four one-sided steps upward) recovers it with O(delta^4) error
+    while every offset evaluation sees a well-conditioned connection
+    split.  delta trades the delta^4 bias against the eps/delta rounding
+    of the near-degenerate splits; 2e-4 keeps both a couple of orders
+    below the 1e-10 relative floor that apply_operator puts on the error
+    estimate for this path.  The gap is within 1e-6 of an integer and
+    every offset is at least 2e-4 and at most 8e-4, so no shifted gap is
+    near an integer and each offset takes the plain split.
     """
-    s0 = params.eta - params.beta - params.mu
-    poles = [-(1.0 + params.mu) - j for j in range(3)]
-    near = [p for p in poles if abs(s0 - p) < 0.5]
+    s = params.eta - params.beta - params.mu
     delta = 2e-4
-    for _ in range(4):
-        offsets = _nudge_offsets(params, delta)
-        shifted = [replace(params, eta=params.eta + d) for d in offsets]
-        if not any(_near_integer_gap(q) for q in shifted):
-            break
-        delta *= 1.37
-    values = []
-    for q, d in zip(shifted, offsets):
-        w = _split_value(q, f, x, n)
-        for p in near:
-            w *= s0 + d - p
-        values.append(w)
-    if offsets[0] < 0.0:
-        inner = 0.5 * (values[1] + values[2])
-        outer = 0.5 * (values[0] + values[3])
-        out = inner + (inner - outer) / 3.0
-    else:
-        v1, v2, v3, v4 = values
-        out = 4.0 * v1 - 6.0 * v2 + 4.0 * v3 - v4
-    for p in near:
-        out /= s0 - p
-    return out
+    down_ok = params.mu + min(s - 2.0 * delta, 0.0) > -1.0 + 1e-6
+    if down_ok:
+        return [-2.0 * delta, -delta, delta, 2.0 * delta], [-1.0 / 6.0, 2.0 / 3.0, 2.0 / 3.0, -1.0 / 6.0]
+    return [delta, 2.0 * delta, 3.0 * delta, 4.0 * delta], [4.0, -6.0, 4.0, -1.0]
 
 
 def apply_operator(
@@ -409,21 +394,30 @@ def apply_operator(
     """Evaluate the operator at x for a positive integrand f.
 
     ``f`` must accept a numpy array of points in (0, x] and evaluate
-    elementwise.  The result is computed at rule order 2*order and the
-    error estimate is the difference against the order-n evaluation, so it
-    reflects the actual refinement behaviour for this integrand.
+    elementwise; it is called once, on the nodes of both refinement
+    levels.  The result is computed at rule order 2*order and the error
+    estimate is the difference against the order-n evaluation, so it
+    reflects the actual refinement behaviour for this integrand.  A
+    non-finite value of f raises EvaluationError carrying that node tau.
     """
     validate(params)
     _check_point(x)
     order = _check_order(order)
+    tau_c, w_c = _discretize(params, x, order)
+    tau_f, w_f = _discretize(params, x, 2 * order)
+    tau = np.concatenate((tau_c, tau_f))
+    values = np.asarray(f(tau), dtype=float)
+    if values.shape != tau.shape:
+        values = np.broadcast_to(values, tau.shape)
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        node = float(tau[np.argmax(bad)])
+        raise EvaluationError(f"integrand is not finite at tau = {node!r}", node=node)
+    coarse = float(w_c @ values[: tau_c.size])
+    fine = float(w_f @ values[tau_c.size :])
+    estimate = abs(fine - coarse)
     if _near_integer_gap(params):
-        coarse = _nudged_value(params, f, x, order)
-        fine = _nudged_value(params, f, x, 2 * order)
-        estimate = max(abs(fine - coarse), 1e-10 * abs(fine))
-    else:
-        coarse = _split_value(params, f, x, order)
-        fine = _split_value(params, f, x, 2 * order)
-        estimate = abs(fine - coarse)
+        estimate = max(estimate, 1e-10 * abs(fine))
     if not math.isfinite(fine):
         raise EvaluationError(f"operator value is not finite: {fine!r}")
     return OperatorResult(value=fine, error_estimate=estimate, order_used=2 * order)
@@ -476,10 +470,11 @@ def rl_k_integral(
         (k+1)^(1-alpha) / Gamma(alpha)
             * integral_0^x (x^(k+1) - t^(k+1))^(alpha-1) t^k f(t) dt,
 
-    via u = (t/x)^(k+1) and the same half-split discretization the main
-    operator uses (evaluated at 2*order, matching its refinement level).
-    The main operator degenerates to exactly this at beta = -alpha,
-    mu = eta = 0.
+    via u = (t/x)^(k+1) and the same half split the main operator uses
+    (evaluated at 2*order, matching its refinement level).  The main
+    operator degenerates to exactly this at beta = -alpha, mu = eta = 0;
+    the code stays separate from _discretize so that the reduction checks
+    compare two independent implementations.
     """
     if not (math.isfinite(alpha) and alpha >= 0.05):
         raise DomainError(f"rl_k_integral requires alpha >= 0.05, got {alpha!r}")

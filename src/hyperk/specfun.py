@@ -157,25 +157,6 @@ def beta(p: float, q: float) -> float:
     return exp(_log_gamma_unchecked(p) + _log_gamma_unchecked(q) - _log_gamma_unchecked(p + q))
 
 
-def _series_2f1(a: float, b: float, c: float, z: float) -> float:
-    """Direct power series with the term-ratio recurrence.
-
-    Stops once the current term drops below 1e-16 of the partial sum;
-    raises after 10000 terms.
-    """
-    term = 1.0
-    total = 1.0
-    for n in range(_SERIES_CAP):
-        term *= ((a + n) * (b + n)) / ((c + n) * (n + 1.0)) * z
-        total += term
-        if abs(term) <= _SERIES_RTOL * abs(total):
-            return total
-    raise ConvergenceError(
-        f"2F1 series did not converge within {_SERIES_CAP} terms "
-        f"(a={a}, b={b}, c={c}, z={z})"
-    )
-
-
 def _gauss_value(a: float, b: float, c: float) -> float:
     """2F1(a, b; c; 1) = Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b)).
 
@@ -221,7 +202,7 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
 
     if z > 0.9 and s > 0.0 and not terminating and abs(s - round(s)) >= 1e-3:
         return _connected_2f1(a, b, c, s, 1.0 - z)
-    return _series_2f1(a, b, c, z)
+    return float(_series_2f1_vec(a, b, c, z))
 
 
 def _connected_2f1(a: float, b: float, c: float, s: float, w: float) -> float:
@@ -242,30 +223,34 @@ def _connected_2f1(a: float, b: float, c: float, s: float, w: float) -> float:
     total = 0.0
     sign1 = s_c * sg_s * (s_ca * s_cb)
     if sign1 != 0.0:
-        total += sign1 * exp(lg_c + lg_s + (lr_ca + lr_cb)) * _series_2f1(a, b, 1.0 - s, w)
+        total += sign1 * exp(lg_c + lg_s + (lr_ca + lr_cb)) * float(
+            _series_2f1_vec(a, b, 1.0 - s, w)
+        )
     sign2 = s_c * sg_ns * (s_a * s_b)
     if sign2 != 0.0:
-        total += sign2 * exp(lg_c + lg_ns + (lr_a + lr_b) + s * log(w)) * _series_2f1(
-            c - a, c - b, 1.0 + s, w
+        total += sign2 * exp(lg_c + lg_ns + (lr_a + lr_b) + s * log(w)) * float(
+            _series_2f1_vec(c - a, c - b, 1.0 + s, w)
         )
     return total
 
 
-def _series_2f1_vec(a: float, b: float, c: float, z: np.ndarray, cap: int = 2000) -> np.ndarray:
-    """Vectorized direct series for an array of arguments in [0, 1).
+def _series_2f1_vec(a: float, b: float, c: float, z) -> np.ndarray:
+    """Direct power series with the term-ratio recurrence, elementwise in z.
 
-    Internal workhorse for the operator's split quadrature, where every
-    argument is at most 1/2 and a few dozen terms suffice.
+    Stops once every element's current term is within 1e-16 of its own
+    partial sum, so an element with a small total is never cut short by a
+    larger neighbour; raises after 10000 terms.  Scalar callers pass a
+    float and take float() of the 0-d result.
     """
     z = np.asarray(z, dtype=float)
     term = np.ones_like(z)
     total = np.ones_like(z)
-    for n in range(cap):
+    for n in range(_SERIES_CAP):
         term = term * ((a + n) * (b + n) / ((c + n) * (n + 1.0))) * z
         total = total + term
-        if np.max(np.abs(term)) <= _SERIES_RTOL * np.max(np.abs(total)):
+        if np.all(np.abs(term) <= _SERIES_RTOL * np.abs(total)):
             return total
     raise ConvergenceError(
-        f"vectorized 2F1 series did not converge within {cap} terms "
+        f"2F1 series did not converge within {_SERIES_CAP} terms "
         f"(a={a}, b={b}, c={c}, max z={np.max(z)})"
     )

@@ -394,7 +394,9 @@ def _draw_params(rng) -> OperatorParams:
     Rejects draws where alpha + beta + mu comes within 0.05 of zero or the
     gap eta - beta - mu within 0.02 of an integer; both regions are
     numerically delicate for no testing benefit.  A quarter of the draws
-    pin k to an integer so the polynomial substitution path gets exercised.
+    pin k to an integer, where the lower panel's 2F1 argument t^(k+1)/2 is
+    a polynomial in the rule's node variable t; for non-integer k it has a
+    branch point at t = 0.
     """
     for _ in range(_MAX_TRIES):
         alpha = rng.uniform(0.3, 2.0)

@@ -7,6 +7,7 @@ from hyperk import (
     DEFINITION_ONLY,
     AffineFn,
     DomainError,
+    EvaluationError,
     ExpFn,
     OperatorParams,
     PowerFn,
@@ -205,6 +206,16 @@ class TestApplyOperator:
         a = apply_operator(p, f, 1.3)
         b = apply_operator(p, f, 1.3)
         assert a.value == b.value and a.error_estimate == b.error_estimate
+
+    def test_nonfinite_integrand_names_its_node(self):
+        x = 1.3
+
+        def blows_up(t):
+            return np.where(t > 0.5 * x, np.inf, 1.0)
+
+        with pytest.raises(EvaluationError) as exc_info:
+            apply_operator(strict_params(2), blows_up, x)
+        assert 0.5 * x < exc_info.value.node < x
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):

@@ -15,6 +15,7 @@ from hyperk import (
     log_gamma,
     pochhammer,
 )
+from hyperk.specfun import _series_2f1_vec
 from oracles import series_2f1
 
 
@@ -210,3 +211,11 @@ class TestGauss2F1:
         # direct series cannot reach 1e-16 within the term cap at z = 0.999
         with pytest.raises(ConvergenceError):
             gauss_2f1(0.7, 0.7, 0.4, 0.999)
+
+    def test_batch_does_not_truncate_small_totals(self):
+        # 2F1(-2.5, 1; 1; z) = (1 - z)^2.5 is about 3e-3 at z = 0.9; next to
+        # the element z = 0 (total 1), a stopping rule shared by the batch
+        # would cut its series off at about 2e-13 relative error
+        got = _series_2f1_vec(-2.5, 1.0, 1.0, np.array([0.0, 0.9]))[1]
+        want = mp.hyp2f1(-2.5, 1.0, 1.0, 0.9)
+        assert float(abs((got - want) / want)) <= 5e-14
