@@ -29,6 +29,7 @@ from .fracint import (
     kernel_closed,
     kernel_series,
     lpk_norm,
+    operator_images,
     operator_of_one,
     rl_k_integral,
     validate,
@@ -77,8 +78,9 @@ __all__ = [
     "log_gamma", "pochhammer", "beta", "gauss_2f1",
     "JacobiRule", "gauss_jacobi_rule", "integrate", "MAX_ORDER",
     "OperatorParams", "OperatorResult", "validate", "apply_operator",
-    "kernel_closed", "kernel_series", "operator_of_one", "rl_k_integral",
-    "lpk_norm", "STRICT", "DEFINITION_ONLY", "DEFAULT_ORDER", "MAX_OPERATOR_ORDER",
+    "operator_images", "kernel_closed", "kernel_series", "operator_of_one",
+    "rl_k_integral", "lpk_norm", "STRICT", "DEFINITION_ONLY", "DEFAULT_ORDER",
+    "MAX_OPERATOR_ORDER",
     "FunctionSpec", "PowerFn", "ExpFn", "AffineFn", "TabulatedFn",
     "SumFn", "ProductFn", "PowFn", "function_from_dict",
     "TestInstance", "sample_points", "make_ratio_pair", "make_monotone_pair",

@@ -34,8 +34,10 @@ weights, the 2F1 factor at each node and the connection coefficients.  When
 s sits within 1e-6 of an integer the connection coefficients become
 ill-conditioned; the value is then extrapolated across small eta offsets
 (the operator value is analytic in eta), and since that extrapolation is
-linear too, it is folded into w as well.  apply_operator builds w at orders
-n and 2n and evaluates f once on both node sets.
+linear too, it is folded into w as well.  operator_images builds w at
+orders n and 2n once and evaluates each integrand once on both node sets,
+so one discretization serves every image of a check; apply_operator is its
+one-integrand case.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from math import exp, log
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -65,6 +67,7 @@ __all__ = [
     "kernel_closed",
     "kernel_series",
     "apply_operator",
+    "operator_images",
     "operator_of_one",
     "rl_k_integral",
     "lpk_norm",
@@ -385,17 +388,18 @@ def _nudge_offsets(params: OperatorParams) -> tuple[list[float], list[float]]:
     return [delta, 2.0 * delta, 3.0 * delta, 4.0 * delta], [4.0, -6.0, 4.0, -1.0]
 
 
-def apply_operator(
+def operator_images(
     params: OperatorParams,
-    f: Callable[[np.ndarray], np.ndarray],
+    fs: Iterable[Callable[[np.ndarray], np.ndarray]],
     x: float,
     order: int = DEFAULT_ORDER,
-) -> OperatorResult:
-    """Evaluate the operator at x for a positive integrand f.
+) -> list[OperatorResult]:
+    """Evaluate the operator at x for each positive integrand in fs, in order.
 
-    ``f`` must accept a numpy array of points in (0, x] and evaluate
-    elementwise; it is called once, on the nodes of both refinement
-    levels.  The result is computed at rule order 2*order and the error
+    The discretizations at orders n and 2n are built once and serve every
+    integrand.  Each ``f`` must accept a numpy array of points in (0, x]
+    and evaluate elementwise; it is called once, on the nodes of both
+    refinement levels.  The result is computed at rule order 2*order and the error
     estimate is the difference against the order-n evaluation, so it
     reflects the actual refinement behaviour for this integrand.  A
     non-finite value of f raises EvaluationError carrying that node tau.
@@ -406,21 +410,39 @@ def apply_operator(
     tau_c, w_c = _discretize(params, x, order)
     tau_f, w_f = _discretize(params, x, 2 * order)
     tau = np.concatenate((tau_c, tau_f))
-    values = np.asarray(f(tau), dtype=float)
-    if values.shape != tau.shape:
-        values = np.broadcast_to(values, tau.shape)
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        node = float(tau[np.argmax(bad)])
-        raise EvaluationError(f"integrand is not finite at tau = {node!r}", node=node)
-    coarse = float(w_c @ values[: tau_c.size])
-    fine = float(w_f @ values[tau_c.size :])
-    estimate = abs(fine - coarse)
-    if _near_integer_gap(params):
-        estimate = max(estimate, 1e-10 * abs(fine))
-    if not math.isfinite(fine):
-        raise EvaluationError(f"operator value is not finite: {fine!r}")
-    return OperatorResult(value=fine, error_estimate=estimate, order_used=2 * order)
+    nudged = _near_integer_gap(params)
+    results = []
+    for f in fs:
+        values = np.asarray(f(tau), dtype=float)
+        if values.shape != tau.shape:
+            values = np.broadcast_to(values, tau.shape)
+        bad = ~np.isfinite(values)
+        if np.any(bad):
+            node = float(tau[np.argmax(bad)])
+            raise EvaluationError(f"integrand is not finite at tau = {node!r}", node=node)
+        coarse = float(w_c @ values[: tau_c.size])
+        fine = float(w_f @ values[tau_c.size :])
+        estimate = abs(fine - coarse)
+        if nudged:
+            estimate = max(estimate, 1e-10 * abs(fine))
+        if not math.isfinite(fine):
+            raise EvaluationError(f"operator value is not finite: {fine!r}")
+        results.append(OperatorResult(value=fine, error_estimate=estimate, order_used=2 * order))
+    return results
+
+
+def apply_operator(
+    params: OperatorParams,
+    f: Callable[[np.ndarray], np.ndarray],
+    x: float,
+    order: int = DEFAULT_ORDER,
+) -> OperatorResult:
+    """Evaluate the operator at x for a positive integrand f.
+
+    The one-integrand case of operator_images, which documents the
+    evaluation and its error estimate.
+    """
+    return operator_images(params, (f,), x, order)[0]
 
 
 def operator_of_one(params: OperatorParams, x: float) -> float:

@@ -1,8 +1,10 @@
 """Numeric checks for the six fractional Minkowski/Hoelder-type bounds.
 
 Each checker evaluates both sides of one inequality through the integral
-operator, propagates the operator's error estimates to first order into a
-combined error for the margin, and classifies the result:
+operator, taking all of its images from one operator_images call (one
+discretization per check), propagates the operator's error estimates to
+first order into a combined error for the margin, and classifies the
+result:
 
     pass          margin >= 0
     inconclusive  -tolerance <= margin < 0
@@ -46,7 +48,7 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .errors import DomainError, HyperkError
-from .fracint import DEFAULT_ORDER, apply_operator, operator_of_one
+from .fracint import DEFAULT_ORDER, operator_images, operator_of_one
 from .testfuncs import TestInstance, random_instance
 
 __all__ = [
@@ -110,16 +112,16 @@ def _report(theorem_id, instance, lhs, rhs, margin, err, form="") -> InequalityR
     )
 
 
-def _image(instance, fn, order):
-    res = apply_operator(instance.params, fn, instance.x, order=order)
-    return res.value, res.error_estimate
+def _images(instance, order, *fns):
+    """(value, error estimate) of each image, all from one discretization."""
+    results = operator_images(instance.params, fns, instance.x, order=order)
+    return [(res.value, res.error_estimate) for res in results]
 
 
 def check_thm31(instance: TestInstance, order: int = DEFAULT_ORDER) -> InequalityReport:
     p, m, M = instance.p, instance.m, instance.M
-    A, eA = _image(instance, instance.f ** p, order)
-    B, eB = _image(instance, instance.g ** p, order)
-    C, eC = _image(instance, (instance.f + instance.g) ** p, order)
+    (A, eA), (B, eB), (C, eC) = _images(
+        instance, order, instance.f ** p, instance.g ** p, (instance.f + instance.g) ** p)
     kappa = (1.0 + M * (m + 2.0)) / ((m + 1.0) * (M + 1.0))
     lhs = A ** (1.0 / p) + B ** (1.0 / p)
     rhs = kappa * C ** (1.0 / p)
@@ -130,8 +132,7 @@ def check_thm31(instance: TestInstance, order: int = DEFAULT_ORDER) -> Inequalit
 
 def check_thm32(instance: TestInstance, order: int = DEFAULT_ORDER) -> InequalityReport:
     p, m, M = instance.p, instance.m, instance.M
-    A, eA = _image(instance, instance.f ** p, order)
-    B, eB = _image(instance, instance.g ** p, order)
+    (A, eA), (B, eB) = _images(instance, order, instance.f ** p, instance.g ** p)
     coeff = (M + 1.0) * (m + 1.0) / M - 2.0
     lhs = A ** (2.0 / p) + B ** (2.0 / p)
     rhs = coeff * A ** (1.0 / p) * B ** (1.0 / p)
@@ -143,9 +144,9 @@ def check_thm32(instance: TestInstance, order: int = DEFAULT_ORDER) -> Inequalit
 
 def check_thm41(instance: TestInstance, order: int = DEFAULT_ORDER) -> InequalityReport:
     p, q, m, M = instance.p, instance.q, instance.m, instance.M
-    A, eA = _image(instance, instance.f, order)
-    B, eB = _image(instance, instance.g, order)
-    D, eD = _image(instance, (instance.f ** (1.0 / p)) * (instance.g ** (1.0 / q)), order)
+    (A, eA), (B, eB), (D, eD) = _images(
+        instance, order, instance.f, instance.g,
+        (instance.f ** (1.0 / p)) * (instance.g ** (1.0 / q)))
     coeff = (M / m) ** (1.0 / (p * q))
     lhs = A ** (1.0 / p) * B ** (1.0 / q)
     rhs = coeff * D
@@ -157,9 +158,8 @@ def check_thm41(instance: TestInstance, order: int = DEFAULT_ORDER) -> Inequalit
 
 def check_thm42(instance: TestInstance, order: int = DEFAULT_ORDER) -> InequalityReport:
     p, q, m, M = instance.p, instance.q, instance.m, instance.M
-    A, eA = _image(instance, instance.f ** p, order)
-    B, eB = _image(instance, instance.g ** q, order)
-    D, eD = _image(instance, instance.f * instance.g, order)
+    (A, eA), (B, eB), (D, eD) = _images(
+        instance, order, instance.f ** p, instance.g ** q, instance.f * instance.g)
     coeff = (M / m) ** (1.0 / (p * q))
     lhs = A ** (1.0 / p) * B ** (1.0 / q)
     rhs = coeff * D
@@ -171,9 +171,9 @@ def check_thm42(instance: TestInstance, order: int = DEFAULT_ORDER) -> Inequalit
 
 def check_thm43(instance: TestInstance, order: int = DEFAULT_ORDER) -> InequalityReport:
     p, q, m, M = instance.p, instance.q, instance.m, instance.M
-    D, eD = _image(instance, instance.f * instance.g, order)
-    P1, e1 = _image(instance, instance.f ** p + instance.g ** p, order)
-    P2, e2 = _image(instance, instance.f ** q + instance.g ** q, order)
+    (D, eD), (P1, e1), (P2, e2) = _images(
+        instance, order, instance.f * instance.g,
+        instance.f ** p + instance.g ** p, instance.f ** q + instance.g ** q)
     c1 = 2.0 ** (p - 1.0) * M ** p / (p * (M + 1.0) ** p)
     c2 = 2.0 ** (q - 1.0) / (q * (m + 1.0) ** q)
     lhs = D
@@ -184,9 +184,9 @@ def check_thm43(instance: TestInstance, order: int = DEFAULT_ORDER) -> Inequalit
 
 def check_thm44(instance: TestInstance, order: int = DEFAULT_ORDER) -> InequalityReport:
     gamma, delta = instance.gamma, instance.delta
-    G, eG = _image(instance, (instance.f ** gamma) * (instance.g ** delta), order)
-    F1, e1 = _image(instance, instance.f ** gamma, order)
-    F2, e2 = _image(instance, instance.g ** delta, order)
+    (G, eG), (F1, e1), (F2, e2) = _images(
+        instance, order, (instance.f ** gamma) * (instance.g ** delta),
+        instance.f ** gamma, instance.g ** delta)
     one = operator_of_one(instance.params, instance.x)
     lhs = G * one
     rhs = F1 * F2
@@ -232,13 +232,8 @@ def check_proof_steps(instance: TestInstance, order: int = DEFAULT_ORDER) -> lis
         raise DomainError("proof steps need a ratio-sandwich instance with p and q")
     p, q, m, M = instance.p, instance.q, instance.m, instance.M
     f, g = instance.f, instance.g
-    A, eA = _image(instance, f ** p, order)
-    B, eB = _image(instance, g ** p, order)
-    C, eC = _image(instance, (f + g) ** p, order)
-    Aq, eAq = _image(instance, f ** q, order)
-    Bq, eBq = _image(instance, g ** q, order)
-    Cq, eCq = _image(instance, (f + g) ** q, order)
-    D, eD = _image(instance, f * g, order)
+    (A, eA), (B, eB), (C, eC), (Aq, eAq), (Bq, eBq), (Cq, eCq), (D, eD) = _images(
+        instance, order, f ** p, g ** p, (f + g) ** p, f ** q, g ** q, (f + g) ** q, f * g)
 
     reports = []
 

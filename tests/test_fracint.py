@@ -21,6 +21,7 @@ from hyperk import (
     kernel_series,
     log_gamma,
     lpk_norm,
+    operator_images,
     operator_of_one,
     random_instance,
     rl_k_integral,
@@ -226,6 +227,46 @@ class TestApplyOperator:
             apply_operator(RL_CASE, ONE, 1.0, order=0)
         with pytest.raises(DomainError):
             apply_operator(RL_CASE, ONE, 1.0, order=MAX_OPERATOR_ORDER + 1)
+
+
+# one parameter set per evaluation path
+PATH_CASES = {
+    "split": OperatorParams(1.1, -0.4, -0.6, 0.35, 1.0),
+    # a = alpha + beta + mu = -1: the 2F1 factor is a polynomial
+    "terminating": OperatorParams(1.5, -2.0, -0.3, -0.5, 0.5,
+                                  validation_mode=DEFINITION_ONLY),
+    "nudged": OperatorParams(0.9, 0.3, -0.5 + 3e-7, 0.2, 1.0),
+}
+IMAGE_FNS = (ExpFn(1.3, 0.5),
+             SumFn((PowerFn(1.2, 1.7), AffineFn(0.4, 0.9))),
+             TabulatedFn((0.0, 0.4, 0.9, 1.5), (1.0, 2.2, 0.7, 1.4)))
+
+
+class TestOperatorImages:
+    @pytest.mark.parametrize("path", PATH_CASES)
+    def test_equals_one_call_per_integrand(self, path):
+        params = PATH_CASES[path]
+        got = operator_images(params, list(IMAGE_FNS), 1.3)
+        want = [apply_operator(params, fn, 1.3) for fn in IMAGE_FNS]
+        assert got == want
+
+    @pytest.mark.parametrize("path", PATH_CASES)
+    def test_results_follow_input_order(self, path):
+        params = PATH_CASES[path]
+        forward = operator_images(params, IMAGE_FNS, 1.3, order=16)
+        backward = operator_images(params, IMAGE_FNS[::-1], 1.3, order=16)
+        assert backward == forward[::-1]
+        assert len({r.value for r in forward}) == len(IMAGE_FNS)
+
+    def test_nonfinite_second_integrand_names_its_node(self):
+        x = 1.3
+
+        def blows_up(t):
+            return np.where(t > 0.5 * x, np.inf, 1.0)
+
+        with pytest.raises(EvaluationError) as exc_info:
+            operator_images(strict_params(2), [ONE, blows_up, ONE], x)
+        assert 0.0 < exc_info.value.node < x
 
 
 # Cross-validation against the independent extended-precision oracle.

@@ -23,6 +23,7 @@ from hyperk import (
     run_suite,
     summarize,
 )
+from hyperk import fracint
 from hyperk.errors import DomainError
 from hyperk.inequalities import _verdict
 from hyperk.testfuncs import THEOREM_IDS
@@ -187,6 +188,32 @@ class TestProofSteps:
         for label in ("4.22", "4.23"):
             row = next(r for r in rows if r.theorem_id == label)
             assert abs(row.margin) <= row.tolerance
+
+
+class TestDiscretizationReuse:
+    """Every check builds the operator's discretization once per refinement
+    level (orders n and 2n) and reuses it for all of its images."""
+
+    @pytest.fixture
+    def discretize_calls(self, monkeypatch):
+        calls = []
+        inner = fracint._discretize
+
+        def counted(params, x, n):
+            calls.append(n)
+            return inner(params, x, n)
+
+        monkeypatch.setattr(fracint, "_discretize", counted)
+        return calls
+
+    @pytest.mark.parametrize("tid", THEOREM_IDS)
+    def test_each_checker_discretizes_twice(self, tid, discretize_calls):
+        CHECKERS[tid](random_instance(PINNED_SEEDS[tid], tid))
+        assert discretize_calls == [64, 128]
+
+    def test_proof_steps_discretize_twice(self, discretize_calls):
+        check_proof_steps(random_instance(29, "3.1"))
+        assert discretize_calls == [64, 128]
 
 
 class TestRunSuite:
