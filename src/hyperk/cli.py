@@ -9,6 +9,9 @@ Subcommands:
   sweep     vary parameters along axes around a seeded instance
   selftest  built-in verification battery
 
+Every table (kernel, check, suite, sweep, and eval's csv) is a list of rows
+keyed by column name, rendered by _render as csv, json or human (--format).
+
 Exit codes: 0 success / all pass, 1 at least one fail, 2 validation error,
 3 numeric error, 4 inconclusive single check, 5 I/O error, 64 usage error.
 """
@@ -66,6 +69,11 @@ CSV_COLUMNS = [
     "m", "M", "gamma", "delta", "x", "lhs", "rhs", "margin",
     "combined_error", "verdict",
 ]
+# human tables: (column, width, significant digits or None for text)
+_REPORT_HUMAN = [("theorem", 7, None), ("seed", 6, None), ("lhs", 19, 12),
+                 ("rhs", 19, 12), ("margin", 19, 12), ("verdict", 12, None)]
+_KERNEL_HUMAN = [("tau", 16, 12), ("closed", 19, 12), ("series", 19, 12),
+                 ("rel_diff", 12, 3)]
 
 _SWEEP_AXES = ("alpha", "beta", "eta", "mu", "k", "p", "m", "M")
 _PARAM_AXES = ("alpha", "beta", "eta", "mu", "k")
@@ -94,6 +102,12 @@ def _cell(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return _g17(v)
+
+
+def _human_cell(v, digits) -> str:
+    if v is None:
+        return ""
+    return str(v) if digits is None else format(float(v), f".{digits}g")
 
 
 def _json_value(v):
@@ -151,9 +165,8 @@ def _add_param_flags(p):
 
 
 def _add_output_flags(p, default_format):
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.add_argument("--format", choices=["csv", "json", "human"], default=default_format)
-    p.add_argument("--out", default=None, help="write output to this file instead of stdout")
+    p.add_argument("--out", default="", help="write output to this file instead of stdout")
     p.add_argument("--config", default=None, help="JSON file whose keys override flags")
 
 
@@ -163,6 +176,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("eval", help="apply the operator to a function at a point")
     _add_param_flags(p)
+    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     _add_output_flags(p, "human")
     p.add_argument("--fn", default="one",
                    help="power:c,p0 | exp:c,lam | affine:a0,b0 | one")
@@ -180,6 +194,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--equality", action="store_true",
                    help="use the m = M = 1, f = g boundary instance")
+    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     _add_output_flags(p, "csv")
 
     p = sub.add_parser("suite", help="randomized inequality campaign")
@@ -187,14 +202,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     _add_output_flags(p, "csv")
 
     p = sub.add_parser("sweep", help="vary parameters along axes around a seeded instance")
     p.add_argument("--theorem", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--axis", action="append", default=None, metavar="NAME=START:STOP:COUNT",
+    p.add_argument("--axis", action="append", default=[], metavar="NAME=START:STOP:COUNT",
                    help="axis spec, repeatable; NAME is one of "
                         "alpha, beta, eta, mu, k, p, m, M")
+    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     _add_output_flags(p, "csv")
 
     sub.add_parser("selftest", help="run the built-in verification battery")
@@ -217,8 +234,12 @@ def _apply_config(args) -> None:
         if attr in ("command", "config") or not hasattr(args, attr):
             raise _UsageError(f"config key {key!r} does not match any flag of this command")
         current = getattr(args, attr)
-        if isinstance(current, float) and isinstance(value, (int, float)):
+        if isinstance(current, float) and type(value) is int:
             value = float(value)
+        if type(value) is not type(current) or (
+                isinstance(value, list) and not all(isinstance(v, str) for v in value)):
+            raise _UsageError(f"config key {key!r} takes a {type(current).__name__}, "
+                              f"got {value!r}")
         setattr(args, attr, value)
 
 
@@ -250,52 +271,41 @@ def _row_dict(rep) -> dict:
     return row
 
 
-def _summary_line(reports) -> str:
-    s = summarize(reports)
+def _summary_line(s: dict) -> str:
     return ("# summary: checks={checks} pass={p} fail={f} inconclusive={i} "
             "min_margin={mm} max_combined_error={me}\n").format(
         checks=s["checks"], p=s["pass"], f=s["fail"], i=s["inconclusive"],
         mm=_g17(s["min_margin"]), me=_g17(s["max_combined_error"]))
 
 
-def _rows_to_csv(rows: list[dict], trailer: str = "") -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow([_cell(row[c]) for c in CSV_COLUMNS])
-    return buf.getvalue() + trailer
+def _render(columns, rows: list[dict], fmt: str, human, summary: dict | None = None) -> str:
+    """Rows (dicts keyed by column name) as csv, json or a fixed-width table.
 
-
-def _rows_to_json(rows: list[dict], summary: dict | None = None) -> str:
-    payload = {"rows": [{c: _json_value(row[c]) for c in CSV_COLUMNS} for row in rows]}
-    if summary is not None:
-        payload["summary"] = {k: _json_value(v) for k, v in summary.items()}
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _human_num(v) -> str:
-    return "" if v is None else format(float(v), ".12g")
-
-
-def _rows_to_human(rows: list[dict], trailer: str = "") -> str:
-    lines = [f"{'theorem':>7} {'seed':>6} {'lhs':>19} {'rhs':>19} "
-             f"{'margin':>19} {'verdict':>12}"]
-    for row in rows:
-        lines.append(f"{row['theorem']:>7} {row['seed']:>6} {_human_num(row['lhs']):>19} "
-                     f"{_human_num(row['rhs']):>19} {_human_num(row['margin']):>19} "
-                     f"{str(row['verdict']):>12}")
-    return "\n".join(lines) + "\n" + trailer
-
-
-def _render_reports(reports, fmt: str, with_summary: bool) -> str:
-    rows = [_row_dict(r) for r in reports]
+    human is the table's column spec, (name, width, significant digits or
+    None for text).  A summarize() dict, when given, follows the rows as
+    the summary line, or as the "summary" object in json.
+    """
     if fmt == "json":
-        return _rows_to_json(rows, summarize(reports) if with_summary else None)
-    trailer = _summary_line(reports) if with_summary else ""
+        payload = {"rows": [{c: _json_value(row[c]) for c in columns} for row in rows]}
+        if summary is not None:
+            payload["summary"] = {k: _json_value(v) for k, v in summary.items()}
+        return json.dumps(payload, indent=2) + "\n"
     if fmt == "human":
-        return _rows_to_human(rows, trailer)
-    return _rows_to_csv(rows, trailer)
+        lines = [" ".join(f"{name:>{width}}" for name, width, _ in human)]
+        lines += [" ".join(f"{_human_cell(row[name], digits):>{width}}"
+                           for name, width, digits in human) for row in rows]
+        text = "\n".join(lines) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_cell(row[c]) for c in columns] for row in rows)
+        text = buf.getvalue()
+    return text if summary is None else text + _summary_line(summary)
+
+
+def _render_reports(reports, fmt: str, summary: dict | None = None) -> str:
+    return _render(CSV_COLUMNS, [_row_dict(r) for r in reports], fmt, _REPORT_HUMAN, summary)
 
 
 def _cmd_eval(args) -> int:
@@ -303,13 +313,12 @@ def _cmd_eval(args) -> int:
     validate(params)
     fn = _parse_fn(args.fn)
     res = apply_operator(params, fn, args.x, order=args.order)
+    row = {"value": res.value, "error_estimate": res.error_estimate,
+           "order_used": res.order_used}
     if args.format == "json":
-        text = json.dumps({"value": res.value,
-                           "error_estimate": res.error_estimate,
-                           "order_used": res.order_used}, indent=2) + "\n"
+        text = json.dumps(row, indent=2) + "\n"
     elif args.format == "csv":
-        text = ("value,error_estimate,order_used\n"
-                f"{_g17(res.value)},{_g17(res.error_estimate)},{res.order_used}\n")
+        text = _render(list(row), [row], "csv", None)
     else:
         text = (f"value          = {res.value:.12g}\n"
                 f"error_estimate = {res.error_estimate:.12g}\n"
@@ -333,21 +342,8 @@ def _cmd_kernel(args) -> int:
         closed = kernel_closed(params, args.x, float(tau))
         series = kernel_series(params, args.x, float(tau), n_terms=args.terms)
         rel = abs(closed - series) / max(abs(closed), 1e-300)
-        rows.append((float(tau), closed, series, rel))
-    if args.format == "json":
-        text = json.dumps({"rows": [
-            {"tau": t, "closed": c, "series": s, "rel_diff": r}
-            for t, c, s, r in rows]}, indent=2) + "\n"
-    elif args.format == "human":
-        lines = [f"{'tau':>16} {'closed':>19} {'series':>19} {'rel_diff':>12}"]
-        lines += [f"{t:>16.12g} {c:>19.12g} {s:>19.12g} {r:>12.3g}"
-                  for t, c, s, r in rows]
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = ["tau,closed,series,rel_diff"]
-        lines += [f"{_g17(t)},{_g17(c)},{_g17(s)},{_g17(r)}" for t, c, s, r in rows]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+        rows.append({"tau": float(tau), "closed": closed, "series": series, "rel_diff": rel})
+    _emit(_render([c for c, _, _ in _KERNEL_HUMAN], rows, args.format, _KERNEL_HUMAN), args.out)
     return 0
 
 
@@ -359,7 +355,7 @@ def _cmd_check(args) -> int:
     else:
         inst = random_instance(args.seed, args.theorem)
     rep = check_instance(inst, order=args.order)
-    _emit(_render_reports([rep], args.format, with_summary=False), args.out)
+    _emit(_render_reports([rep], args.format), args.out)
     if rep.verdict == "pass":
         return 0
     if rep.verdict == "inconclusive":
@@ -375,7 +371,7 @@ def _cmd_suite(args) -> int:
         raise _UsageError(f"--jobs must be >= 1, got {args.jobs}")
     reports = run_suite(tids, args.trials, base_seed=args.seed,
                         order=args.order, jobs=args.jobs)
-    _emit(_render_reports(reports, args.format, with_summary=True), args.out)
+    _emit(_render_reports(reports, args.format, summarize(reports)), args.out)
     return 1 if any(r.verdict == "fail" for r in reports) else 0
 
 
@@ -409,7 +405,7 @@ def _cmd_sweep(args) -> int:
         if name in ("p", "m", "M") and getattr(base, name) is None:
             raise _UsageError(f"axis {name!r} does not apply to theorem {args.theorem}")
 
-    rows = []
+    reports = []
     for combo in itertools.product(*(vals for _, vals in axes)):
         params = base.params
         fields = {}
@@ -428,23 +424,16 @@ def _cmd_sweep(args) -> int:
                 raise ConstructionError("p must be > 1")
             validate(inst.params)
             verify_hypotheses(inst)
-            rep = check_instance(inst, order=args.order)
-            rows.append(_row_dict(rep))
+            reports.append(check_instance(inst, order=args.order))
         except (ValidationError, ConstructionError, DomainError,
                 EvaluationError, ConvergenceError, DivergenceError) as exc:
             reason = (exc.violations[0]
                       if isinstance(exc, ValidationError) and exc.violations
                       else type(exc).__name__)
-            rows.append(_row_dict(InequalityReport(
+            reports.append(InequalityReport(
                 theorem_id=args.theorem, seed=base.seed, lhs=None, rhs=None, margin=None,
-                combined_error=None, verdict=f"skipped: {reason}", instance=inst)))
-    if args.format == "json":
-        text = _rows_to_json(rows)
-    elif args.format == "human":
-        text = _rows_to_human(rows)
-    else:
-        text = _rows_to_csv(rows)
-    _emit(text, args.out)
+                combined_error=None, verdict=f"skipped: {reason}", instance=inst))
+    _emit(_render_reports(reports, args.format), args.out)
     return 0
 
 

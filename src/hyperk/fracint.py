@@ -54,10 +54,9 @@ from .quadrature import MAX_ORDER, gauss_jacobi_rule, integrate
 from .specfun import (
     _is_nonpositive_integer,
     _series_2f1_vec,
+    gamma_ratio,
     gauss_2f1,
     log_gamma,
-    signed_log_gamma,
-    signed_log_rgamma,
 )
 
 __all__ = [
@@ -262,25 +261,6 @@ def _near_integer_gap(params: OperatorParams) -> bool:
     return abs(s - round(s)) < 1e-6
 
 
-def _connection_coefficients(alpha: float, a: float, b: float, s: float):
-    """Signs and log-magnitudes of C1, C2 in the u -> 0 connection formula.
-
-    C1 = Gamma(alpha) Gamma(s) / (Gamma(alpha-a) Gamma(alpha-b)),
-    C2 = Gamma(alpha) Gamma(-s) / (Gamma(a) Gamma(b)).
-    A pole in a denominator yields sign 0 for that branch.
-    """
-    lg_alpha = log_gamma(alpha)
-    lg_s, sg_s = signed_log_gamma(s)
-    lg_ns, sg_ns = signed_log_gamma(-s)
-    l_ca, s_ca = signed_log_rgamma(alpha - a)
-    l_cb, s_cb = signed_log_rgamma(alpha - b)
-    l_a, s_a = signed_log_rgamma(a)
-    l_b, s_b = signed_log_rgamma(b)
-    sign1 = sg_s * s_ca * s_cb
-    sign2 = sg_ns * s_a * s_b
-    return sign1, lg_alpha + lg_s + l_ca + l_cb, sign2, lg_alpha + lg_ns + l_a + l_b
-
-
 def _discretize(params: OperatorParams, x: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes tau in (0, x) and weights w with I[f](x) ~ w @ f(tau) at rule order n.
 
@@ -335,7 +315,8 @@ def _discretize(params: OperatorParams, x: float, n: int) -> tuple[np.ndarray, n
     if _is_nonpositive_integer(a) or _is_nonpositive_integer(b):
         branches.append((False, 1.0, log_lo, b_lo, (a, b, alpha), False))
     else:
-        sign1, log_c1, sign2, log_c2 = _connection_coefficients(alpha, a, b, s)
+        sign1, log_c1 = gamma_ratio(alpha, s, alpha - a, alpha - b)
+        sign2, log_c2 = gamma_ratio(alpha, -s, a, b)
         branches.append((False, sign1, log_lo + log_c1, b_lo, (a, b, 1.0 - s), True))
         branches.append((False, sign2, log_lo + log_c2 - s * _LOG2, b_lo + kp1 * s,
                          (alpha - a, alpha - b, 1.0 + s), True))

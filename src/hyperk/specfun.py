@@ -21,6 +21,7 @@ __all__ = [
     "gauss_2f1",
     "signed_log_gamma",
     "signed_log_rgamma",
+    "gamma_ratio",
 ]
 
 # Lanczos approximation, g = 607/128 with 15 coefficients (Godfrey's set).
@@ -140,6 +141,21 @@ def signed_log_rgamma(x: float) -> tuple[float, float]:
     return log(abs(s)) + _log_gamma_unchecked(1.0 - x) - log(pi), (1.0 if s > 0.0 else -1.0)
 
 
+def gamma_ratio(p: float, q: float, r: float, t: float) -> tuple[float, float]:
+    """(sign, log |Gamma(p) Gamma(q) / (Gamma(r) Gamma(t))|) for non-pole p, q.
+
+    The coefficients of the 2F1 connection formula at 1 - w:
+    C1 = gamma_ratio(c, s, c-a, c-b) and C2 = gamma_ratio(c, -s, a, b).
+    A pole of Gamma at r or t gives sign 0.0.  The reciprocal factors are
+    summed first, so the result is exact under r <-> t (a <-> b).
+    """
+    lg_p, s_p = signed_log_gamma(p)
+    lg_q, s_q = signed_log_gamma(q)
+    lr_r, s_r = signed_log_rgamma(r)
+    lr_t, s_t = signed_log_rgamma(t)
+    return s_p * s_q * (s_r * s_t), lg_p + lg_q + (lr_r + lr_t)
+
+
 def pochhammer(a: float, n: int) -> float:
     """Rising factorial a (a+1) ... (a+n-1), with the empty product for n = 0."""
     if not isinstance(n, (int, np.integer)) or n < 0:
@@ -155,22 +171,6 @@ def beta(p: float, q: float) -> float:
     if not (math.isfinite(p) and math.isfinite(q)) or p <= 0.0 or q <= 0.0:
         raise DomainError(f"beta requires positive arguments, got ({p!r}, {q!r})")
     return exp(_log_gamma_unchecked(p) + _log_gamma_unchecked(q) - _log_gamma_unchecked(p + q))
-
-
-def _gauss_value(a: float, b: float, c: float) -> float:
-    """2F1(a, b; c; 1) = Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b)).
-
-    Valid for c - a - b > 0.  Zeros of the reciprocal Gamma factors are
-    honoured (the value is 0 when c-a or c-b hits a pole of Gamma).
-    """
-    lg_c, s_c = signed_log_gamma(c)
-    lg_gap, s_gap = signed_log_gamma(c - (a + b))
-    lr_ca, s_ca = signed_log_rgamma(c - a)
-    lr_cb, s_cb = signed_log_rgamma(c - b)
-    sign = s_c * s_gap * (s_ca * s_cb)
-    if sign == 0.0:
-        return 0.0
-    return sign * exp(lg_c + lg_gap + (lr_ca + lr_cb))
 
 
 def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
@@ -198,7 +198,11 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
             raise DivergenceError(
                 f"2F1(a, b; c; 1) diverges for c-a-b <= 0 (got c-a-b = {s})"
             )
-        return _gauss_value(a, b, c)
+        # Gauss summation: the value is C1 alone, and is 0 when c-a or c-b
+        # is a pole of Gamma.  C2 is not formed: Gamma(-s) has a pole at an
+        # integer gap.
+        sign, log_c1 = gamma_ratio(c, s, c - a, c - b)
+        return sign * exp(log_c1) if sign != 0.0 else 0.0
 
     if z > 0.9 and s > 0.0 and not terminating and abs(s - round(s)) >= 1e-3:
         return _connected_2f1(a, b, c, s, 1.0 - z)
@@ -212,23 +216,13 @@ def _connected_2f1(a: float, b: float, c: float, s: float, w: float) -> float:
     with C1 = Gamma(c)Gamma(s)/(Gamma(c-a)Gamma(c-b)) and
     C2 = Gamma(c)Gamma(-s)/(Gamma(a)Gamma(b)).  Requires s non-integer.
     """
-    lg_c, s_c = signed_log_gamma(c)
-    lg_s, sg_s = signed_log_gamma(s)
-    lr_ca, s_ca = signed_log_rgamma(c - a)
-    lr_cb, s_cb = signed_log_rgamma(c - b)
-    lg_ns, sg_ns = signed_log_gamma(-s)
-    lr_a, s_a = signed_log_rgamma(a)
-    lr_b, s_b = signed_log_rgamma(b)
-
+    sign1, log_c1 = gamma_ratio(c, s, c - a, c - b)
+    sign2, log_c2 = gamma_ratio(c, -s, a, b)
     total = 0.0
-    sign1 = s_c * sg_s * (s_ca * s_cb)
     if sign1 != 0.0:
-        total += sign1 * exp(lg_c + lg_s + (lr_ca + lr_cb)) * float(
-            _series_2f1_vec(a, b, 1.0 - s, w)
-        )
-    sign2 = s_c * sg_ns * (s_a * s_b)
+        total += sign1 * exp(log_c1) * float(_series_2f1_vec(a, b, 1.0 - s, w))
     if sign2 != 0.0:
-        total += sign2 * exp(lg_c + lg_ns + (lr_a + lr_b) + s * log(w)) * float(
+        total += sign2 * exp(log_c2 + s * log(w)) * float(
             _series_2f1_vec(c - a, c - b, 1.0 + s, w)
         )
     return total

@@ -1,5 +1,8 @@
+import csv
 import dataclasses
+import io
 import json
+import math
 
 import pytest
 
@@ -8,6 +11,10 @@ from hyperk.inequalities import InequalityReport
 
 CSV_HEADER = ("theorem,seed,alpha,beta,eta,mu,k,p,q,m,M,gamma,delta,x,"
               "lhs,rhs,margin,combined_error,verdict")
+
+REPORT_HUMAN_HEADER = ("theorem   seed                 lhs                 rhs"
+                       "              margin      verdict")
+KERNEL_HUMAN_HEADER = "             tau              closed              series     rel_diff"
 
 EVAL_RL = ["eval", "--alpha", "1", "--beta", "-1", "--eta", "0", "--mu", "0",
            "--k", "0", "--fn", "affine:1,1", "--x", "1",
@@ -38,6 +45,15 @@ class TestEval:
         assert doc["value"] == pytest.approx(1.5, rel=1e-12)
         assert doc["error_estimate"] >= 0.0
         assert doc["order_used"] >= 64
+
+    def test_csv_output(self, capsys):
+        code, out, _ = run(EVAL_RL + ["--format", "csv"], capsys)
+        assert code == 0
+        header, row = out.splitlines()
+        assert header == "value,error_estimate,order_used"
+        value, _, order_used = row.split(",")
+        assert float(value) == pytest.approx(1.5, rel=1e-12)
+        assert int(order_used) >= 64
 
     def test_strict_mode_rejects_eta_zero(self, capsys):
         code, _, err = run(["eval", "--alpha", "1", "--eta", "0"], capsys)
@@ -75,6 +91,11 @@ class TestKernel:
         last = lines[-1].split(",")
         assert 0.0 < float(last[0]) < 2.0
         assert float(last[3]) < 1e-10   # series converged near the diagonal
+
+    def test_order_flag_is_rejected(self, capsys):
+        code, _, err = run(self.ARGS + ["--order", "32"], capsys)
+        assert code == 64
+        assert "--order" in err
 
     def test_series_divergence_exit_code(self, capsys):
         # tau/x near 0 puts the 2F1 argument past the series' reach
@@ -199,6 +220,27 @@ class TestConfig:
         assert code == 64
         assert "bogus" in err
 
+    @pytest.mark.parametrize("argv, cfg", [
+        (["suite", "--theorems", "3.1"], {"trials": "3"}),
+        (["eval"], {"x": "2"}),
+        (["suite", "--theorems", "3.1"], {"trials": True}),
+        (["check", "--theorem", "3.1"], {"equality": 1}),
+        (["sweep", "--theorem", "3.1"], {"axis": [1]}),
+    ])
+    def test_wrong_type_is_usage_error(self, capsys, tmp_path, argv, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, _, err = run(argv + ["--config", str(path)], capsys)
+        assert code == 64
+        assert repr(next(iter(cfg))) in err
+
+    def test_int_widens_to_float(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"x": 2}))
+        code, out, _ = run(EVAL_RL + ["--config", str(path), "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["value"] == pytest.approx(4.0, rel=1e-12)
+
     def test_missing_file_is_io_error(self, capsys):
         code, _, _ = run(["eval", "--config", "/no/such/file.json"], capsys)
         assert code == 5
@@ -232,6 +274,54 @@ class TestSweep:
         verdicts = [ln.split(",")[18] for ln in lines]
         assert verdicts[:2] == ["pass", "pass"]
         assert all(v.startswith("skipped") for v in verdicts[2:])
+
+
+class TestRender:
+    """csv, json and human are three views of the same rows."""
+
+    COMMANDS = {
+        "kernel": (TestKernel.ARGS + ["--points", "6", "--terms", "200"], KERNEL_HUMAN_HEADER),
+        "check": (["check", "--theorem", "3.1", "--seed", "7"], REPORT_HUMAN_HEADER),
+        "suite": (["suite", "--theorems", "all", "--trials", "2", "--seed", "5"],
+                  REPORT_HUMAN_HEADER),
+        "sweep": (["sweep", "--theorem", "4.2", "--seed", "3", "--axis", "p=0.5:3:5"],
+                  REPORT_HUMAN_HEADER),
+    }
+
+    @pytest.fixture(params=sorted(COMMANDS))
+    def views(self, request, capsys):
+        argv, header = self.COMMANDS[request.param]
+        outs = {}
+        for fmt in ("csv", "json", "human"):
+            code, outs[fmt], _ = run(argv + ["--format", fmt], capsys)
+            assert code == 0
+        return request.param, header, outs
+
+    def test_json_rows_equal_csv_cells(self, views):
+        _, _, outs = views
+        rows = json.loads(outs["json"])["rows"]
+        data = [ln for ln in outs["csv"].splitlines() if not ln.startswith("#")]
+        cells = list(csv.DictReader(io.StringIO("\n".join(data))))
+        assert len(cells) == len(rows) >= 1
+        for row, cell in zip(rows, cells):
+            assert list(row) == list(cell)
+            for name, value in row.items():
+                if value is None:   # empty, or a non-finite number
+                    assert cell[name] == "" or not math.isfinite(float(cell[name]))
+                elif isinstance(value, str):
+                    assert cell[name] == value
+                else:
+                    assert type(value)(cell[name]) == value, name
+
+    def test_human_table_shape(self, views):
+        command, header, outs = views
+        lines = outs["human"].splitlines()
+        rows = json.loads(outs["json"])["rows"]
+        summary = [ln for ln in outs["csv"].splitlines() if ln.startswith("#")]
+        assert len(summary) == (command == "suite")
+        assert lines[0] == header
+        assert len(lines) == 1 + len(rows) + len(summary)
+        assert lines[1 + len(rows):] == summary
 
 
 def test_selftest_battery(capsys):
