@@ -75,6 +75,8 @@ _REPORT_HUMAN = [("theorem", 7, None), ("seed", 6, None), ("lhs", 19, 12),
 _KERNEL_HUMAN = [("tau", 16, 12), ("closed", 19, 12), ("series", 19, 12),
                  ("rel_diff", 12, 3)]
 
+# flags with a fixed set of values; --config values are checked against them too
+_CHOICES = {"mode": (STRICT, DEFINITION_ONLY), "format": ("csv", "json", "human")}
 _SWEEP_AXES = ("alpha", "beta", "eta", "mu", "k", "p", "m", "M")
 _PARAM_AXES = ("alpha", "beta", "eta", "mu", "k")
 
@@ -134,13 +136,10 @@ def _parse_fn(text: str):
         raise _UsageError(f"bad numbers in function selector {text!r}") from None
     if len(values) != 2:
         raise _UsageError(f"function selector {text!r} needs exactly two parameters")
-    if family == "power":
-        return PowerFn(*values)
-    if family == "exp":
-        return ExpFn(*values)
-    if family == "affine":
-        return AffineFn(*values)
-    raise _UsageError(f"unknown function family {family!r}")
+    cls = {fn.family: fn for fn in (PowerFn, ExpFn, AffineFn)}.get(family)
+    if cls is None:
+        raise _UsageError(f"unknown function family {family!r}")
+    return cls(*values)
 
 
 def _parse_theorems(text: str) -> list[str]:
@@ -161,11 +160,11 @@ def _add_param_flags(p):
     p.add_argument("--eta", type=float, default=-0.4)
     p.add_argument("--mu", type=float, default=0.0)
     p.add_argument("--k", type=float, default=0.0)
-    p.add_argument("--mode", choices=[STRICT, DEFINITION_ONLY], default=STRICT)
+    p.add_argument("--mode", choices=_CHOICES["mode"], default=STRICT)
 
 
 def _add_output_flags(p, default_format):
-    p.add_argument("--format", choices=["csv", "json", "human"], default=default_format)
+    p.add_argument("--format", choices=_CHOICES["format"], default=default_format)
     p.add_argument("--out", default="", help="write output to this file instead of stdout")
     p.add_argument("--config", default=None, help="JSON file whose keys override flags")
 
@@ -240,6 +239,9 @@ def _apply_config(args) -> None:
                 isinstance(value, list) and not all(isinstance(v, str) for v in value)):
             raise _UsageError(f"config key {key!r} takes a {type(current).__name__}, "
                               f"got {value!r}")
+        if attr in _CHOICES and value not in _CHOICES[attr]:
+            raise _UsageError(f"config key {key!r} must be one of "
+                              f"{', '.join(_CHOICES[attr])}, got {value!r}")
         setattr(args, attr, value)
 
 

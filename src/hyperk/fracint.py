@@ -180,6 +180,13 @@ def _check_order(order: int) -> int:
 # kernel
 
 
+def _check_kernel_args(params: OperatorParams, x: float, tau: float) -> None:
+    validate(params)
+    _check_point(x)
+    if not (math.isfinite(tau) and 0.0 < tau < x):
+        raise DomainError(f"kernel requires 0 < tau < x, got tau = {tau!r}, x = {x!r}")
+
+
 def _kernel_log_head(params: OperatorParams, x: float, tau: float) -> tuple[float, float]:
     """(log of the n=0 series term, series argument 1 - (tau/x)^(k+1)).
 
@@ -205,10 +212,7 @@ def kernel_closed(params: OperatorParams, x: float, tau: float) -> float:
     This excludes the tau^k measure factor, which the operator carries
     separately next to f(tau).  Positive throughout the admissible window.
     """
-    validate(params)
-    _check_point(x)
-    if not (math.isfinite(tau) and 0.0 < tau < x):
-        raise DomainError(f"kernel requires 0 < tau < x, got tau = {tau!r}, x = {x!r}")
+    _check_kernel_args(params, x, tau)
     head, arg = _kernel_log_head(params, x, tau)
     a = params.alpha + params.beta + params.mu
     return exp(head) * gauss_2f1(a, -params.eta, params.alpha, arg)
@@ -234,10 +238,7 @@ def kernel_series(params: OperatorParams, x: float, tau: float, n_terms: int) ->
     Under the strict window every term is positive, so the partial sums
     increase monotonically toward kernel_closed.
     """
-    validate(params)
-    _check_point(x)
-    if not (math.isfinite(tau) and 0.0 < tau < x):
-        raise DomainError(f"kernel requires 0 < tau < x, got tau = {tau!r}, x = {x!r}")
+    _check_kernel_args(params, x, tau)
     if not isinstance(n_terms, (int, np.integer)) or n_terms < 1:
         raise DomainError(f"n_terms must be a positive integer, got {n_terms!r}")
     return math.fsum(_kernel_terms(params, x, tau, int(n_terms)))

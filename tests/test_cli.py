@@ -234,6 +234,19 @@ class TestConfig:
         assert code == 64
         assert repr(next(iter(cfg))) in err
 
+    @pytest.mark.parametrize("argv, cfg", [
+        (["eval"], {"format": "xml"}),
+        (["suite", "--theorems", "3.1", "--trials", "1"], {"format": "xml"}),
+        (["eval"], {"mode": "bogus"}),
+    ])
+    def test_value_outside_choices_is_usage_error(self, capsys, tmp_path, argv, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run(argv + ["--config", str(path)], capsys)
+        assert code == 64
+        assert out == ""
+        assert repr(next(iter(cfg))) in err
+
     def test_int_widens_to_float(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"x": 2}))

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -63,6 +65,46 @@ def test_function_serialization_roundtrip():
     for _ in range(25):
         f = draw_positive_function(rng, 1.7)
         assert function_from_dict(f.to_dict()) == f
+
+
+TAB = TabulatedFn((0.0, 0.5, 1.25), (1.0, 3.0, 2.0))
+TAB_RECORD = {"family": "tabulated", "breakpoints": [0.0, 0.5, 1.25], "values": [1.0, 3.0, 2.0]}
+RECORDS = [
+    (PowerFn(1.5, 0.25), {"family": "power", "c": 1.5, "p0": 0.25}),
+    (ExpFn(0.5, -1.0), {"family": "exp", "c": 0.5, "lam": -1.0}),
+    (AffineFn(2.0, 0.75), {"family": "affine", "a0": 2.0, "b0": 0.75}),
+    (TAB, TAB_RECORD),
+    (SumFn((PowerFn(1.0, 2.0), TAB)),
+     {"family": "sum", "parts": [{"family": "power", "c": 1.0, "p0": 2.0}, TAB_RECORD]}),
+    (ProductFn((AffineFn(1.0, 0.5), ExpFn(2.0, 0.25), TAB)),
+     {"family": "product", "parts": [{"family": "affine", "a0": 1.0, "b0": 0.5},
+                                     {"family": "exp", "c": 2.0, "lam": 0.25}, TAB_RECORD]}),
+    (PowFn(SumFn((TAB, ProductFn((PowerFn(0.5, 1.0), AffineFn(1.0, 1.0))))), 2.5),
+     {"family": "pow", "base": {"family": "sum", "parts": [
+         TAB_RECORD,
+         {"family": "product", "parts": [{"family": "power", "c": 0.5, "p0": 1.0},
+                                         {"family": "affine", "a0": 1.0, "b0": 1.0}]}]},
+      "exponent": 2.5}),
+]
+
+
+@pytest.mark.parametrize("fn, record", RECORDS, ids=[fn.family for fn, _ in RECORDS])
+def test_record_format_is_pinned(fn, record):
+    """The exact records, key order included: benchmark fingerprints hash them."""
+    got = fn.to_dict()
+    assert got == record
+    assert json.dumps(got) == json.dumps(record)
+    assert function_from_dict(record) == fn
+    assert function_from_dict(json.loads(json.dumps(got))) == fn
+
+
+@pytest.mark.parametrize("record", [
+    {"family": "spline", "knots": [0.0, 1.0]},
+    {"family": "sum", "parts": [{"family": "power", "c": 1.0, "p0": 0.0}, {"family": "log"}]},
+])
+def test_unknown_family_is_rejected(record):
+    with pytest.raises(DomainError, match="unknown function family"):
+        function_from_dict(record)
 
 
 def test_instance_serialization_roundtrip():
@@ -167,6 +209,34 @@ class TestRandomInstance:
         assert np.all(ratio >= inst.m - 1e-9)
         assert np.all(ratio <= inst.M + 1e-9)
 
+    @pytest.mark.parametrize("tid", THEOREM_IDS)
+    def test_one_sample_per_accepted_instance(self, monkeypatch, tid):
+        import hyperk.testfuncs as tf
+
+        calls = []
+
+        def counting_sample_points(*args, **kwargs):
+            calls.append(args)
+            return sample_points(*args, **kwargs)
+
+        monkeypatch.setattr(tf, "sample_points", counting_sample_points)
+        for seed in range(10):
+            calls.clear()
+            random_instance(seed, tid)
+            assert len(calls) == 1
+
+    def test_generator_stream_is_pinned(self):
+        """sha256 of the to_dict JSON of seeds 0-199 for every theorem.
+
+        Any change to the draws, their order or the acceptance rule moves it.
+        """
+        digest = hashlib.sha256()
+        for seed in range(200):
+            for tid in THEOREM_IDS:
+                digest.update(json.dumps(random_instance(seed, tid).to_dict()).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "5f7163ddb491bb7a74cff84869c09b24ea90b87197db2b79d9863eb0dd567694")
+
     def test_unknown_theorem_id(self):
         with pytest.raises(DomainError):
             random_instance(0, "5.1")
@@ -185,6 +255,14 @@ class TestVerifyHypotheses:
         broken = dataclasses.replace(inst, m=5.0, M=5.1)
         with pytest.raises(ConstructionError):
             verify_hypotheses(broken)
+
+    @pytest.mark.parametrize("tid", ["3.1", "4.2"])
+    def test_sandwich_slack_is_1e12_relative(self, tid):
+        # f/g (f^p/g^q for 4.2) is 1 up to round-off on the equality instance
+        inst = equality_instance(tid)
+        verify_hypotheses(dataclasses.replace(inst, m=1.0 - 1e-13, M=1.0 - 1e-13))
+        with pytest.raises(ConstructionError):
+            verify_hypotheses(dataclasses.replace(inst, m=1.0 - 1e-10, M=1.0 - 1e-10))
 
     def test_rejects_broken_monotonicity(self):
         inst = random_instance(3, "4.4")
