@@ -28,7 +28,6 @@ from .fracint import (
     apply_operator,
     kernel_closed,
     kernel_series,
-    lpk_norm,
     operator_images,
     operator_of_one,
     rl_k_integral,
@@ -79,7 +78,7 @@ __all__ = [
     "JacobiRule", "gauss_jacobi_rule", "integrate", "MAX_ORDER",
     "OperatorParams", "OperatorResult", "validate", "apply_operator",
     "operator_images", "kernel_closed", "kernel_series", "operator_of_one",
-    "rl_k_integral", "lpk_norm", "STRICT", "DEFINITION_ONLY", "DEFAULT_ORDER",
+    "rl_k_integral", "STRICT", "DEFINITION_ONLY", "DEFAULT_ORDER",
     "MAX_OPERATOR_ORDER",
     "FunctionSpec", "PowerFn", "ExpFn", "AffineFn", "TabulatedFn",
     "SumFn", "ProductFn", "PowFn", "function_from_dict",

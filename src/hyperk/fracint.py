@@ -69,7 +69,6 @@ __all__ = [
     "operator_images",
     "operator_of_one",
     "rl_k_integral",
-    "lpk_norm",
     "DEFAULT_ORDER",
     "MAX_OPERATOR_ORDER",
 ]
@@ -509,24 +508,3 @@ def rl_k_integral(
     ) * lo
     return total
 
-
-def lpk_norm(
-    f: Callable[[np.ndarray], np.ndarray],
-    p: float,
-    k: float,
-    upper: float,
-    order: int = DEFAULT_ORDER,
-) -> float:
-    """(integral_0^upper |f(t)|^p t^k dt)^(1/p) by Gauss-Jacobi quadrature.
-
-    A finite upper limit stands in for the half line at desk scale.
-    """
-    if not (math.isfinite(p) and p >= 1.0):
-        raise DomainError(f"lpk_norm requires p >= 1, got {p!r}")
-    if not (math.isfinite(k) and k > -1.0):
-        raise DomainError(f"lpk_norm requires k > -1, got {k!r}")
-    _check_point(upper)
-    n = 2 * _check_order(order)
-    rule = gauss_jacobi_rule(0.0, k, n)
-    raw = integrate(rule, lambda u: np.abs(f(upper * u)) ** p)
-    return (upper ** (k + 1.0) * raw) ** (1.0 / p)

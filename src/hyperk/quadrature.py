@@ -1,8 +1,11 @@
 """Gauss-Jacobi quadrature on [0, 1] for the weight u^b_exp (1-u)^a_exp.
 
-Rules are built with the Golub-Welsch eigenvalue method on the monic
-Jacobi recurrence and cached, so repeated operator evaluations with the
-same exponents share one immutable rule object.
+Rules are built with the Golub-Welsch eigenvalue method: the Jacobi
+recurrence coefficients are formed as whole-array expressions and the
+symmetric tridiagonal eigenproblem gives nodes and weights.  The last 128
+rules are cached, so repeated operator evaluations with the same exponents
+share one immutable rule object; a campaign draws fresh exponents for
+every check and reuses none.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ class JacobiRule:
         self.weights.setflags(write=False)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=128)
 def gauss_jacobi_rule(a_exp: float, b_exp: float, order: int) -> JacobiRule:
     """Build (or fetch from cache) the Gauss-Jacobi rule for the given weight.
 
@@ -89,18 +92,24 @@ def gauss_jacobi_rule(a_exp: float, b_exp: float, order: int) -> JacobiRule:
         rule = JacobiRule(a, b, 1, np.array([node]), np.array([moment0]))
         return rule
 
+    # The first entries keep their closed forms: the general ones are 0/0
+    # at a + b = 0 (diagonal) and at a + b = -1 (off-diagonal).
+    j = np.arange(order, dtype=float)
     diag = np.empty(order)
     off = np.empty(order - 1)
     diag[0] = (b - a) / (apb + 2.0)
-    for j in range(1, order):
-        diag[j] = (b * b - a * a) / ((2.0 * j + apb) * (2.0 * j + apb + 2.0))
+    diag[1:] = (b * b - a * a) / ((2.0 * j[1:] + apb) * (2.0 * j[1:] + apb + 2.0))
     off[0] = math.sqrt(4.0 * (a + 1.0) * (b + 1.0) / ((apb + 2.0) ** 2 * (apb + 3.0)))
-    for j in range(2, order):
-        num = 4.0 * j * (j + a) * (j + b) * (j + apb)
-        den = (2.0 * j + apb) ** 2 * (2.0 * j + apb + 1.0) * (2.0 * j + apb - 1.0)
-        off[j - 1] = math.sqrt(num / den)
+    j = j[2:]
+    num = 4.0 * j * (j + a) * (j + b) * (j + apb)
+    # float_power squares with the C pow, as the scalar ** 2 of off[0]
+    # does; numpy's ** 2 is x * x, which rounds differently in about one
+    # entry in a thousand and would move the rules' last bits
+    den = np.float_power(2.0 * j + apb, 2) * (2.0 * j + apb + 1.0) * (2.0 * j + apb - 1.0)
+    off[1:] = np.sqrt(num / den)
 
-    vals, vecs = eigh_tridiagonal(diag, off)
+    # diag and off are finite for every a, b > -1 accepted above
+    vals, vecs = eigh_tridiagonal(diag, off, check_finite=False)
     nodes = (vals + 1.0) / 2.0
     weights = moment0 * vecs[0, :] ** 2
     return JacobiRule(a, b, order, nodes, weights)

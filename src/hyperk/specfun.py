@@ -50,6 +50,7 @@ _HALF_LOG_2PI = 0.91893853320467274178
 
 _SERIES_CAP = 10000
 _SERIES_RTOL = 1e-16
+_SERIES_BLOCK = 64  # terms per block; the operator's z < 1/2 need about 55
 
 
 def _two_prod(a: float, b: float) -> tuple[float, float]:
@@ -231,19 +232,32 @@ def _connected_2f1(a: float, b: float, c: float, s: float, w: float) -> float:
 def _series_2f1_vec(a: float, b: float, c: float, z) -> np.ndarray:
     """Direct power series with the term-ratio recurrence, elementwise in z.
 
-    Stops once every element's current term is within 1e-16 of its own
-    partial sum, so an element with a small total is never cut short by a
-    larger neighbour; raises after 10000 terms.  Scalar callers pass a
-    float and take float() of the 0-d result.
+    Terms are taken _SERIES_BLOCK at a time: one cumprod down a
+    (terms x nodes) array of term ratios gives a block of terms, and one
+    cumsum down [total; terms] adds them to the running total in series
+    order.  The sum stops at the first term at which every element's term
+    is within 1e-16 of its own partial sum, so an element with a small
+    total is never cut short by a larger neighbour; raises after 10000
+    terms.  Scalar callers pass a float and take float() of the 0-d result.
     """
     z = np.asarray(z, dtype=float)
-    term = np.ones_like(z)
-    total = np.ones_like(z)
-    for n in range(_SERIES_CAP):
-        term = term * ((a + n) * (b + n) / ((c + n) * (n + 1.0))) * z
-        total = total + term
-        if np.all(np.abs(term) <= _SERIES_RTOL * np.abs(total)):
-            return total
+    flat = z.reshape(-1)
+    term = np.ones_like(flat)
+    total = np.ones_like(flat)
+    for start in range(0, _SERIES_CAP, _SERIES_BLOCK):
+        n = np.arange(start, min(start + _SERIES_BLOCK, _SERIES_CAP), dtype=float)
+        rows = np.empty((n.size + 1, flat.size))
+        rows[0] = term
+        np.multiply.outer((a + n) * (b + n) / ((c + n) * (n + 1.0)), flat, out=rows[1:])
+        np.cumprod(rows, axis=0, out=rows)  # [term; the block's terms]
+        terms = rows[1:].copy()
+        rows[0] = total
+        np.cumsum(rows, axis=0, out=rows)  # [total; the partial sums]
+        sums = rows[1:]
+        done = np.all(np.abs(terms) <= _SERIES_RTOL * np.abs(sums), axis=1)
+        if done.any():
+            return sums[np.argmax(done)].reshape(z.shape)
+        term, total = terms[-1], sums[-1]
     raise ConvergenceError(
         f"2F1 series did not converge within {_SERIES_CAP} terms "
         f"(a={a}, b={b}, c={c}, max z={np.max(z)})"

@@ -20,7 +20,6 @@ from hyperk import (
     kernel_closed,
     kernel_series,
     log_gamma,
-    lpk_norm,
     operator_images,
     operator_of_one,
     random_instance,
@@ -364,13 +363,3 @@ class TestRlIntegralAndNorm:
         with pytest.raises((DomainError, ValidationError)):
             rl_k_integral(0.0, 0.0, ONE, 1.0)
 
-    def test_lpk_golden_values(self):
-        assert lpk_norm(ONE, 1.0, 0.0, 1.0) == pytest.approx(1.0, rel=1e-13)
-        assert lpk_norm(ONE, 2.0, 1.0, 1.0) == pytest.approx(math.sqrt(0.5), rel=1e-13)
-        assert lpk_norm(PowerFn(1.0, 1.0), 1.0, 0.0, 2.0) == pytest.approx(2.0, rel=1e-13)
-
-    def test_lpk_rejects_bad_exponents(self):
-        with pytest.raises(DomainError):
-            lpk_norm(ONE, 0.5, 0.0, 1.0)
-        with pytest.raises(DomainError):
-            lpk_norm(ONE, 1.0, -1.5, 1.0)

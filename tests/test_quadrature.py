@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from hyperk import (
     DomainError,
@@ -49,6 +50,46 @@ def test_random_polynomial_exactness(a_exp, b_exp):
         got = integrate(rule, lambda u: np.polynomial.polynomial.polyval(u, coeffs))
         want = sum(c * beta(b_exp + 1 + j, a_exp + 1) for j, c in enumerate(coeffs))
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+
+def recurrence_loop(a, b, order):
+    """The Jacobi recurrence entry by entry, as gauss_jacobi_rule builds it."""
+    apb = a + b
+    diag = np.empty(order)
+    off = np.empty(order - 1)
+    diag[0] = (b - a) / (apb + 2.0)
+    for j in range(1, order):
+        diag[j] = (b * b - a * a) / ((2.0 * j + apb) * (2.0 * j + apb + 2.0))
+    off[0] = math.sqrt(4.0 * (a + 1.0) * (b + 1.0) / ((apb + 2.0) ** 2 * (apb + 3.0)))
+    for j in range(2, order):
+        num = 4.0 * j * (j + a) * (j + b) * (j + apb)
+        den = (2.0 * j + apb) ** 2 * (2.0 * j + apb + 1.0) * (2.0 * j + apb - 1.0)
+        off[j - 1] = math.sqrt(num / den)
+    return diag, off
+
+
+@pytest.mark.parametrize("a_exp,b_exp", [
+    (0.0, 0.0), (0.5, -0.5), (-0.5, -0.5), (0.0, -0.95), (-0.25, 0.75), (2.0, 3.0),
+])
+def test_rules_match_loop_recurrence(a_exp, b_exp):
+    """Same arithmetic as the loop, so nodes and weights are bit-identical,
+    at a + b = 0 and a + b = -1 (closed-form first entries) too."""
+    for order in (2, 3, 64, 128):
+        rule = gauss_jacobi_rule(a_exp, b_exp, order)
+        vals, vecs = eigh_tridiagonal(*recurrence_loop(a_exp, b_exp, order))
+        assert np.array_equal(rule.nodes, (vals + 1.0) / 2.0)
+        assert np.array_equal(rule.weights, beta(b_exp + 1.0, a_exp + 1.0) * vecs[0, :] ** 2)
+
+
+@pytest.mark.parametrize("b_exp", [-0.95, -0.5, 0.0, 2.0, 3.0])
+def test_moments_at_operator_order(b_exp):
+    """Order-128 rules with a_exp = 0, as the operator builds them, integrate
+    u^j exactly (1e-10 relative) for j <= 255, b_exp near -1 included."""
+    rule = gauss_jacobi_rule(0.0, b_exp, 128)
+    for j in range(256):
+        got = float(rule.weights @ rule.nodes**j)
+        want = 1.0 / (b_exp + j + 1.0)
+        assert abs(got - want) <= 1e-10 * want, f"moment {j}"
 
 
 def test_convergence_on_smooth_integrands():

@@ -219,3 +219,67 @@ class TestGauss2F1:
         got = _series_2f1_vec(-2.5, 1.0, 1.0, np.array([0.0, 0.9]))[1]
         want = mp.hyp2f1(-2.5, 1.0, 1.0, 0.9)
         assert float(abs((got - want) / want)) <= 5e-14
+
+
+def series_loop(a, b, c, z):
+    """Term-by-term form of _series_2f1_vec: same stop rule, one term a step.
+
+    Returns the sum and the sum of the terms' magnitudes.
+    """
+    term = np.ones_like(z)
+    total = np.ones_like(z)
+    size = np.ones_like(z)
+    for n in range(10000):
+        term = term * ((a + n) * (b + n) / ((c + n) * (n + 1.0))) * z
+        total = total + term
+        size = size + np.abs(term)
+        if np.all(np.abs(term) <= 1e-16 * np.abs(total)):
+            return total, size
+    raise ConvergenceError("series_loop")
+
+
+class TestSeriesBlocks:
+    """_series_2f1_vec element by element against mpmath and its loop form."""
+
+    @staticmethod
+    def assert_matches_mpmath(a, b, c, z):
+        got = _series_2f1_vec(a, b, c, z)
+        assert got.shape == z.shape
+        for zi, gi in zip(z, got):
+            want = mp.hyp2f1(a, b, c, zi)
+            assert float(abs((gi - want) / want)) <= 5e-14, (a, b, c, zi)
+
+    @pytest.mark.parametrize("a,b,c", [
+        (-2.5, 1.0, 1.0),   # (1 - z)^2.5: totals from 1 down to 3e-3
+        (2.5, 1.5, 1.2),    # totals from 1 up to about 6e2
+        (0.7, -0.3, 0.4),
+    ])
+    def test_mixed_totals(self, a, b, c):
+        self.assert_matches_mpmath(a, b, c, np.array([0.0, 0.01, 0.3, 0.5, 0.75, 0.9]))
+
+    @pytest.mark.parametrize("a,b,c", [(0.5, 0.5, 1.5), (-1.3, 0.8, 2.1), (1.2, 0.4, 2.6)])
+    def test_many_blocks(self, a, b, c):
+        # about 700 terms at z = 0.95, more than ten blocks
+        self.assert_matches_mpmath(a, b, c, np.linspace(0.0, 0.95, 12))
+
+    @pytest.mark.parametrize("a,b", [(0.0, 0.5), (-1.0, 0.5), (-4.0, 0.5), (-70.0, -100.5)])
+    def test_terminating(self, a, b):
+        # every term from n = -a on is exactly zero: within the first block,
+        # or (a = -70) in the second; b = -100.5 keeps that polynomial's
+        # terms of one sign, so its sum is well conditioned
+        self.assert_matches_mpmath(a, b, 1.5, np.array([0.0, 0.2, 0.5, 0.9]))
+
+    def test_matches_term_by_term_loop(self):
+        # the blocks multiply each term by ratio_n * z where the loop
+        # multiplies by ratio_n, then z; the sums are added in the same
+        # order, so the two agree to a few ulps of the terms' magnitudes
+        # (tolerance 50 eps of their sum: cancelling terms make the total
+        # itself smaller)
+        rng = np.random.default_rng(2026_06)
+        for _ in range(200):
+            a, b = rng.uniform(-3.0, 3.0, 2)
+            c = rng.uniform(0.1, 3.0)
+            z = rng.uniform(0.0, rng.choice([0.5, 0.9]), int(rng.integers(1, 130)))
+            got = _series_2f1_vec(a, b, c, z)
+            want, size = series_loop(a, b, c, z)
+            assert np.all(np.abs(got - want) <= 50 * np.finfo(float).eps * size)
