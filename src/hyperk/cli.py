@@ -44,6 +44,7 @@ from .fracint import (
     DEFINITION_ONLY,
     STRICT,
     OperatorParams,
+    _check_order,
     apply_operator,
     kernel_closed,
     kernel_series,
@@ -402,6 +403,7 @@ def _cmd_sweep(args) -> int:
     if not args.axis:
         raise _UsageError("sweep needs at least one --axis")
     axes = [_parse_axis(spec) for spec in args.axis]
+    _check_order(args.order)
     base = random_instance(args.seed, args.theorem)
     for name, _ in axes:
         if name in ("p", "m", "M") and getattr(base, name) is None:

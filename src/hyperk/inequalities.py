@@ -2,9 +2,12 @@
 
 Each checker evaluates both sides of one inequality through the integral
 operator, taking all of its images from one operator_images call (one
-discretization per check), propagates the operator's error estimates to
-first order into a combined error for the margin, and classifies the
-result:
+discretization per check).  Each image carries the operator's error
+estimate, and every arithmetic step on the sides carries it to first
+order: a sum adds the errors, a*b gives |b| ea + |a| eb, c*a gives |c| ea,
+a/c gives ea/|c| and a**e gives |e| |a|^(e-1) ea.  Each side is bounded
+separately, so the combined error of the margin is the sum of the two
+sides' errors.  The checker then classifies the result:
 
     pass          margin >= 0
     inconclusive  -tolerance <= margin < 0
@@ -42,13 +45,14 @@ images and fails dimensional analysis under f -> c f.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .errors import DomainError, HyperkError
-from .fracint import DEFAULT_ORDER, operator_images, operator_of_one
+from .fracint import DEFAULT_ORDER, _check_order, operator_images, operator_of_one
 from .testfuncs import TestInstance, random_instance
 
 __all__ = [
@@ -86,7 +90,11 @@ class InequalityReport:
 
     @property
     def tolerance(self) -> float:
-        return max(1e-9, 10.0 * self.combined_error)
+        return _tolerance(self.combined_error)
+
+
+def _tolerance(combined_error: float) -> float:
+    return max(1e-9, 10.0 * combined_error)
 
 
 def _verdict(margin: float, tolerance: float) -> str:
@@ -97,101 +105,105 @@ def _verdict(margin: float, tolerance: float) -> str:
     return "fail"
 
 
-def _report(theorem_id, instance, lhs, rhs, margin, err, form="") -> InequalityReport:
-    tolerance = max(1e-9, 10.0 * err)
-    return InequalityReport(
-        theorem_id=theorem_id,
-        seed=instance.seed,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        margin=float(margin),
-        combined_error=float(err),
-        verdict=_verdict(margin, tolerance),
-        instance=instance,
-        form=form,
-    )
+@dataclass(slots=True)
+class _Image:
+    """A value with an error bound carried to first order through +, *, / and **."""
+
+    value: float
+    err: float
+
+    def __add__(self, other: "_Image") -> "_Image":
+        return _Image(self.value + other.value, self.err + other.err)
+
+    def __mul__(self, other) -> "_Image":
+        if isinstance(other, _Image):
+            return _Image(self.value * other.value,
+                          abs(other.value) * self.err + abs(self.value) * other.err)
+        return _Image(self.value * other, abs(other) * self.err)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, c: float) -> "_Image":
+        return _Image(self.value / c, self.err / abs(c))
+
+    def __pow__(self, e: float) -> "_Image":
+        return _Image(self.value ** e, abs(e) * abs(self.value) ** (e - 1.0) * self.err)
+
+
+def _report(theorem_id, instance, lhs, rhs, form="", lower=False) -> InequalityReport:
+    """Each side is bounded separately, so the margin's error is their sum."""
+    margin = lhs.value - rhs.value if lower else rhs.value - lhs.value
+    err = lhs.err + rhs.err
+    return InequalityReport(theorem_id, instance.seed, lhs.value, rhs.value, margin, err,
+                            _verdict(margin, _tolerance(err)), instance, form=form)
+
+
+def _fields(instance, *names):
+    """The instance's values of names, which a bound needs to be stated."""
+    values = [getattr(instance, name) for name in names]
+    if any(v is None for v in values):
+        raise DomainError(f"theorem {instance.theorem_id} instance lacks one of {names}")
+    return values
 
 
 def _images(instance, order, *fns):
-    """(value, error estimate) of each image, all from one discretization."""
+    """An _Image per integrand, all from one discretization."""
     results = operator_images(instance.params, fns, instance.x, order=order)
-    return [(res.value, res.error_estimate) for res in results]
+    return [_Image(res.value, res.error_estimate) for res in results]
 
 
 def check_thm31(instance: TestInstance, order: int = DEFAULT_ORDER) -> InequalityReport:
-    p, m, M = instance.p, instance.m, instance.M
-    (A, eA), (B, eB), (C, eC) = _images(
-        instance, order, instance.f ** p, instance.g ** p, (instance.f + instance.g) ** p)
+    p, m, M = _fields(instance, "p", "m", "M")
+    f, g = instance.f, instance.g
+    A, B, C = _images(instance, order, f ** p, g ** p, (f + g) ** p)
     kappa = (1.0 + M * (m + 2.0)) / ((m + 1.0) * (M + 1.0))
     lhs = A ** (1.0 / p) + B ** (1.0 / p)
     rhs = kappa * C ** (1.0 / p)
-    err = (A ** (1.0 / p - 1.0) * eA + B ** (1.0 / p - 1.0) * eB
-           + kappa * C ** (1.0 / p - 1.0) * eC) / p
-    return _report("3.1", instance, lhs, rhs, rhs - lhs, err, form="p-coherent")
+    return _report("3.1", instance, lhs, rhs, form="p-coherent")
 
 
 def check_thm32(instance: TestInstance, order: int = DEFAULT_ORDER) -> InequalityReport:
-    p, m, M = instance.p, instance.m, instance.M
-    (A, eA), (B, eB) = _images(instance, order, instance.f ** p, instance.g ** p)
+    p, m, M = _fields(instance, "p", "m", "M")
+    A, B = _images(instance, order, instance.f ** p, instance.g ** p)
     coeff = (M + 1.0) * (m + 1.0) / M - 2.0
     lhs = A ** (2.0 / p) + B ** (2.0 / p)
     rhs = coeff * A ** (1.0 / p) * B ** (1.0 / p)
-    err = (2.0 / p) * (A ** (2.0 / p - 1.0) * eA + B ** (2.0 / p - 1.0) * eB)
-    err += abs(coeff) / p * (A ** (1.0 / p - 1.0) * B ** (1.0 / p) * eA
-                             + B ** (1.0 / p - 1.0) * A ** (1.0 / p) * eB)
-    return _report("3.2", instance, lhs, rhs, lhs - rhs, err, form="p-coherent")
+    return _report("3.2", instance, lhs, rhs, form="p-coherent", lower=True)
 
 
 def check_thm41(instance: TestInstance, order: int = DEFAULT_ORDER) -> InequalityReport:
-    p, q, m, M = instance.p, instance.q, instance.m, instance.M
-    (A, eA), (B, eB), (D, eD) = _images(
-        instance, order, instance.f, instance.g,
-        (instance.f ** (1.0 / p)) * (instance.g ** (1.0 / q)))
-    coeff = (M / m) ** (1.0 / (p * q))
+    p, q, m, M = _fields(instance, "p", "q", "m", "M")
+    f, g = instance.f, instance.g
+    A, B, D = _images(instance, order, f, g, (f ** (1.0 / p)) * (g ** (1.0 / q)))
     lhs = A ** (1.0 / p) * B ** (1.0 / q)
-    rhs = coeff * D
-    err = (A ** (1.0 / p - 1.0) * B ** (1.0 / q) * eA / p
-           + B ** (1.0 / q - 1.0) * A ** (1.0 / p) * eB / q
-           + coeff * eD)
-    return _report("4.1", instance, lhs, rhs, rhs - lhs, err)
+    rhs = (M / m) ** (1.0 / (p * q)) * D
+    return _report("4.1", instance, lhs, rhs)
 
 
 def check_thm42(instance: TestInstance, order: int = DEFAULT_ORDER) -> InequalityReport:
-    p, q, m, M = instance.p, instance.q, instance.m, instance.M
-    (A, eA), (B, eB), (D, eD) = _images(
-        instance, order, instance.f ** p, instance.g ** q, instance.f * instance.g)
-    coeff = (M / m) ** (1.0 / (p * q))
+    p, q, m, M = _fields(instance, "p", "q", "m", "M")
+    f, g = instance.f, instance.g
+    A, B, D = _images(instance, order, f ** p, g ** q, f * g)
     lhs = A ** (1.0 / p) * B ** (1.0 / q)
-    rhs = coeff * D
-    err = (A ** (1.0 / p - 1.0) * B ** (1.0 / q) * eA / p
-           + B ** (1.0 / q - 1.0) * A ** (1.0 / p) * eB / q
-           + coeff * eD)
-    return _report("4.2", instance, lhs, rhs, rhs - lhs, err)
+    rhs = (M / m) ** (1.0 / (p * q)) * D
+    return _report("4.2", instance, lhs, rhs)
 
 
 def check_thm43(instance: TestInstance, order: int = DEFAULT_ORDER) -> InequalityReport:
-    p, q, m, M = instance.p, instance.q, instance.m, instance.M
-    (D, eD), (P1, e1), (P2, e2) = _images(
-        instance, order, instance.f * instance.g,
-        instance.f ** p + instance.g ** p, instance.f ** q + instance.g ** q)
+    p, q, m, M = _fields(instance, "p", "q", "m", "M")
+    f, g = instance.f, instance.g
+    D, P1, P2 = _images(instance, order, f * g, f ** p + g ** p, f ** q + g ** q)
     c1 = 2.0 ** (p - 1.0) * M ** p / (p * (M + 1.0) ** p)
     c2 = 2.0 ** (q - 1.0) / (q * (m + 1.0) ** q)
-    lhs = D
-    rhs = c1 * P1 + c2 * P2
-    err = eD + c1 * e1 + c2 * e2
-    return _report("4.3", instance, lhs, rhs, rhs - lhs, err)
+    return _report("4.3", instance, D, c1 * P1 + c2 * P2)
 
 
 def check_thm44(instance: TestInstance, order: int = DEFAULT_ORDER) -> InequalityReport:
-    gamma, delta = instance.gamma, instance.delta
-    (G, eG), (F1, e1), (F2, e2) = _images(
-        instance, order, (instance.f ** gamma) * (instance.g ** delta),
-        instance.f ** gamma, instance.g ** delta)
-    one = operator_of_one(instance.params, instance.x)
-    lhs = G * one
-    rhs = F1 * F2
-    err = one * eG + F2 * e1 + F1 * e2
-    return _report("4.4", instance, lhs, rhs, rhs - lhs, err)
+    gamma, delta = _fields(instance, "gamma", "delta")
+    f, g = instance.f, instance.g
+    G, F1, F2 = _images(instance, order, (f ** gamma) * (g ** delta), f ** gamma, g ** delta)
+    lhs = G * operator_of_one(instance.params, instance.x)
+    return _report("4.4", instance, lhs, F1 * F2)
 
 
 CHECKERS: dict[str, Callable[..., InequalityReport]] = {
@@ -228,59 +240,32 @@ def check_proof_steps(instance: TestInstance, order: int = DEFAULT_ORDER) -> lis
     The id 4.15 restates 3.5 inside the second chain; it is emitted as its
     own row so step coverage is explicit.
     """
-    if instance.m is None or instance.M is None or instance.p is None:
-        raise DomainError("proof steps need a ratio-sandwich instance with p and q")
-    p, q, m, M = instance.p, instance.q, instance.m, instance.M
+    p, q, m, M = _fields(instance, "p", "q", "m", "M")
     f, g = instance.f, instance.g
-    (A, eA), (B, eB), (C, eC), (Aq, eAq), (Bq, eBq), (Cq, eCq), (D, eD) = _images(
+    A, B, C, Aq, Bq, Cq, D = _images(
         instance, order, f ** p, g ** p, (f + g) ** p, f ** q, g ** q, (f + g) ** q, f * g)
-
-    reports = []
-
-    def upper_bound_step(step_id, lhs, rhs, err):
-        reports.append(_report(step_id, instance, lhs, rhs, rhs - lhs, err))
-
-    cf = M / (M + 1.0)
-    lhs = A ** (1.0 / p)
-    rhs = cf * C ** (1.0 / p)
-    err = (A ** (1.0 / p - 1.0) * eA + cf * C ** (1.0 / p - 1.0) * eC) / p
-    upper_bound_step("3.5", lhs, rhs, err)
-    upper_bound_step("3.8",
-                     B ** (1.0 / p),
-                     C ** (1.0 / p) / (m + 1.0),
-                     (B ** (1.0 / p - 1.0) * eB + C ** (1.0 / p - 1.0) * eC / (m + 1.0)) / p)
-    upper_bound_step("4.15", lhs, rhs, err)
-    upper_bound_step("4.18",
-                     Bq ** (1.0 / q),
-                     Cq ** (1.0 / q) / (m + 1.0),
-                     (Bq ** (1.0 / q - 1.0) * eBq + Cq ** (1.0 / q - 1.0) * eCq / (m + 1.0)) / q)
-    upper_bound_step("4.20", D, A / p + Bq / q, eD + eA / p + eBq / q)
-    upper_bound_step("4.22", C, 2.0 ** (p - 1.0) * (A + B),
-                     eC + 2.0 ** (p - 1.0) * (eA + eB))
-    upper_bound_step("4.23", Cq, 2.0 ** (q - 1.0) * (Aq + Bq),
-                     eCq + 2.0 ** (q - 1.0) * (eAq + eBq))
-    return reports
+    step_35 = (A ** (1.0 / p), M / (M + 1.0) * C ** (1.0 / p))
+    steps = [
+        ("3.5", *step_35),
+        ("3.8", B ** (1.0 / p), C ** (1.0 / p) / (m + 1.0)),
+        ("4.15", *step_35),
+        ("4.18", Bq ** (1.0 / q), Cq ** (1.0 / q) / (m + 1.0)),
+        ("4.20", D, A / p + Bq / q),
+        ("4.22", C, 2.0 ** (p - 1.0) * (A + B)),
+        ("4.23", Cq, 2.0 ** (q - 1.0) * (Aq + Bq)),
+    ]
+    return [_report(step_id, instance, lhs, rhs) for step_id, lhs, rhs in steps]
 
 
 def _error_row(theorem_id: str, seed: int, exc: Exception) -> InequalityReport:
-    return InequalityReport(
-        theorem_id=theorem_id,
-        seed=seed,
-        lhs=_NAN,
-        rhs=_NAN,
-        margin=_NAN,
-        combined_error=_NAN,
-        verdict="inconclusive",
-        instance=None,
-        note=f"{type(exc).__name__}: {exc}",
-    )
+    return InequalityReport(theorem_id, seed, _NAN, _NAN, _NAN, _NAN, "inconclusive", None,
+                            note=f"{type(exc).__name__}: {exc}")
 
 
 def _suite_row(order: int, task: tuple[str, int]) -> InequalityReport:
     theorem_id, seed = task
     try:
-        instance = random_instance(seed, theorem_id)
-        return CHECKERS[theorem_id](instance, order=order)
+        return check_instance(random_instance(seed, theorem_id), order=order)
     except HyperkError as exc:
         return _error_row(theorem_id, seed, exc)
 
@@ -295,21 +280,27 @@ def run_suite(
     """Randomized campaign: `trials` seeded instances per theorem id.
 
     Rows come back grouped by theorem id in the given order and sorted by
-    seed within each group, independent of `jobs`.  An instance whose
+    seed within each group, independent of `jobs`.  At most
+    min(jobs, number of checks, CPU count) worker processes are started;
+    with one, the checks run in this process.  An instance whose
     generation or evaluation raises is recorded as an inconclusive row
     carrying the error text, never silently dropped.
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
+    if jobs < 1:
+        raise DomainError(f"jobs must be >= 1, got {jobs}")
+    order = _check_order(order)
     for tid in theorem_ids:
         if tid not in CHECKERS:
             raise DomainError(f"unknown theorem id {tid!r}")
     tasks = [(tid, seed) for tid in theorem_ids
              for seed in range(base_seed, base_seed + trials)]
     worker = partial(_suite_row, order)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
     return [worker(t) for t in tasks]
 
 

@@ -196,6 +196,13 @@ class TestSuite:
         code, _, _ = run(["suite", "--theorems", "3.1,9.9", "--trials", "1"], capsys)
         assert code == 64
 
+    def test_order_out_of_range_is_validation_error(self, capsys):
+        code, out, err = run(["suite", "--theorems", "3.1", "--trials", "2",
+                              "--order", "500"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "order must be an integer" in err
+
     def test_unwritable_output_path(self, capsys):
         code, _, err = run(["suite", "--theorems", "3.1", "--trials", "1",
                             "--out", "/nonexistent-dir/rows.csv"], capsys)
@@ -287,6 +294,14 @@ class TestSweep:
         verdicts = [ln.split(",")[18] for ln in lines]
         assert verdicts[:2] == ["pass", "pass"]
         assert all(v.startswith("skipped") for v in verdicts[2:])
+
+
+    def test_order_out_of_range_is_validation_error(self, capsys):
+        code, out, err = run(["sweep", "--theorem", "3.1", "--seed", "7",
+                              "--axis", "M=1.6:4.0:3", "--order", "0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "order must be an integer" in err
 
 
 class TestRender:

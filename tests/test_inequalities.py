@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hyperk import (
     CHECKERS,
@@ -23,13 +25,34 @@ from hyperk import (
     run_suite,
     summarize,
 )
-from hyperk import fracint
+from hyperk import fracint, inequalities
 from hyperk.errors import DomainError
-from hyperk.inequalities import _verdict
+from hyperk.inequalities import _Image, _verdict
 from hyperk.testfuncs import THEOREM_IDS
 from oracles import oracle_u
 
 PINNED_SEEDS = {"3.1": 7, "3.2": 11, "4.1": 13, "4.2": 17, "4.3": 19, "4.4": 23}
+
+# combined_error of the pinned checks and of the proof steps of
+# random_instance(29, "3.1"), as the per-theorem hand-derived error
+# formulas gave them before one first-order rule replaced them
+GOLDEN_ERRORS = {
+    "3.1": 0.00016666118561022152,
+    "3.2": 3.1756817718803514e-06,
+    "4.1": 6.473977271860591e-10,
+    "4.2": 0.0002577008637603375,
+    "4.3": 0.0,
+    "4.4": 1.0637440078185586e-12,
+}
+GOLDEN_STEP_ERRORS = {
+    "3.5": 7.496877984838508e-11,
+    "3.8": 1.1759407871762775e-11,
+    "4.15": 7.496877984838508e-11,
+    "4.18": 2.0688019169409722e-11,
+    "4.20": 3.0888343831060926e-09,
+    "4.22": 4.1799106669843756e-08,
+    "4.23": 1.0702622150205935e-09,
+}
 
 
 def scaled(fn, c):
@@ -48,6 +71,58 @@ class TestVerdictRule:
     def test_tolerance_floor(self):
         rep = check_instance(equality_instance("3.1"))
         assert rep.tolerance >= 1e-9
+
+
+def _slope(fn, v):
+    """|fn'(v)| by a central difference."""
+    h = 1e-6 * v
+    return abs(fn(v + h) - fn(v - h)) / (2.0 * h)
+
+
+POSITIVE = st.floats(min_value=0.1, max_value=10.0)
+
+
+class TestErrorPropagation:
+    """_Image carries an error bound to first order: each operation's error is
+    the magnitude of its derivative times the input's error."""
+
+    @given(a=POSITIVE, e=st.floats(min_value=-3.0, max_value=3.0))
+    def test_power(self, a, e):
+        got = (_Image(a, 1.0) ** e).err
+        want = _slope(lambda v: v ** e, a)
+        assert got == pytest.approx(want, rel=1e-6, abs=1e-8 * a ** (e - 1.0))
+
+    @given(a=POSITIVE, b=POSITIVE, ea=POSITIVE, eb=POSITIVE)
+    def test_product(self, a, b, ea, eb):
+        got = (_Image(a, ea) * _Image(b, eb)).err
+        want = _slope(lambda v: v * b, a) * ea + _slope(lambda v: a * v, b) * eb
+        assert got == pytest.approx(want, rel=1e-6)
+
+    @given(a=POSITIVE, c=POSITIVE, ea=POSITIVE)
+    def test_scale_and_divide(self, a, c, ea):
+        assert (c * _Image(a, ea)).err == pytest.approx(_slope(lambda v: c * v, a) * ea, rel=1e-6)
+        assert (_Image(a, ea) / c).err == pytest.approx(_slope(lambda v: v / c, a) * ea, rel=1e-6)
+
+    @pytest.mark.parametrize("tid,seed", sorted(PINNED_SEEDS.items()))
+    def test_checker_errors_are_pinned(self, tid, seed):
+        rep = check_instance(random_instance(seed, tid))
+        assert math.isclose(rep.combined_error, GOLDEN_ERRORS[tid], rel_tol=1e-14, abs_tol=0.0)
+
+    def test_proof_step_errors_are_pinned(self):
+        rows = check_proof_steps(random_instance(29, "3.1"))
+        assert [r.theorem_id for r in rows] == list(GOLDEN_STEP_ERRORS)
+        for r in rows:
+            want = GOLDEN_STEP_ERRORS[r.theorem_id]
+            assert math.isclose(r.combined_error, want, rel_tol=1e-14, abs_tol=0.0), r.theorem_id
+
+
+@pytest.mark.parametrize("checker,kind", [
+    (check_thm31, "4.4"), (check_thm44, "3.1"),
+    (CHECKERS["4.3"], "4.4"), (check_proof_steps, "4.4"),
+])
+def test_wrong_kind_of_instance_is_domain_error(checker, kind):
+    with pytest.raises(DomainError, match="lacks"):
+        checker(random_instance(0, kind))
 
 
 class TestEqualityWitnesses:
@@ -240,6 +315,41 @@ class TestRunSuite:
             run_suite(["3.1"], trials=0)
         with pytest.raises(DomainError):
             run_suite(["8.8"], trials=1)
+
+    def test_rejects_bad_jobs_and_order(self):
+        with pytest.raises(DomainError):
+            run_suite(["3.1"], trials=1, jobs=0)
+        with pytest.raises(DomainError):
+            run_suite(["3.1"], trials=1, order=500)
+
+    @pytest.mark.parametrize("jobs,cpus,trials,want", [
+        (5000, 64, 1, 2),     # capped by the number of checks
+        (3, 64, 4, 3),        # capped by jobs
+        (5000, 2, 2, 2),      # capped by the CPU count
+        (4, 1, 3, None),      # one worker: no pool at all
+        (8, None, 3, None),   # unknown CPU count counts as one
+    ])
+    def test_worker_count_is_capped(self, monkeypatch, jobs, cpus, trials, want):
+        requested = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(inequalities, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(inequalities.os, "cpu_count", lambda: cpus)
+        rows = run_suite(["3.1", "4.4"], trials=trials, base_seed=3, jobs=jobs)
+        assert requested == ([] if want is None else [want])
+        assert rows == run_suite(["3.1", "4.4"], trials=trials, base_seed=3)
 
     def test_errors_become_inconclusive_rows(self, monkeypatch):
         def boom(instance, order=64):
