@@ -35,7 +35,8 @@ s sits within 1e-6 of an integer the connection coefficients become
 ill-conditioned; the value is then extrapolated across small eta offsets
 (the operator value is analytic in eta), and since that extrapolation is
 linear too, it is folded into w as well.  operator_images builds w at
-orders n and 2n once and evaluates each integrand once on both node sets,
+orders n and 2n in one pass, with one 2F1 series call per panel over the
+nodes of both orders, and evaluates each integrand once on both node sets,
 so one discretization serves every image of a check; apply_operator is its
 one-integrand case.
 """
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from math import exp, log
 from typing import Callable, Iterable
 
@@ -261,27 +263,38 @@ def _near_integer_gap(params: OperatorParams) -> bool:
     return abs(s - round(s)) < 1e-6
 
 
-def _discretize(params: OperatorParams, x: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes tau in (0, x) and weights w with I[f](x) ~ w @ f(tau) at rule order n.
+def _discretize(
+    params: OperatorParams, x: float, orders: tuple[int, ...]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Nodes tau in (0, x) and weights w with I[f](x) ~ w @ f(tau), one
+    pair per rule order in orders.
 
     Prefactors, Jacobi weights, 2F1 node factors and connection
-    coefficients all fold into w, so the discretization depends only on
-    (params, x, n) and the operator is exactly linear in f.  Near an
-    integer gap it combines the discretizations at the offsets of
-    _nudge_offsets, each scaled by its extrapolation coefficient and the
-    pole factors prod (s0 + d - p) / (s0 - p).
+    coefficients all fold into w, so each discretization depends only on
+    (params, x, order) and the operator is exactly linear in f.  All orders
+    are built in one pass: the prefactor and connection coefficients are
+    computed once, and each panel's 2F1 factor is one series call over the
+    nodes of every order.  The series stops element by element, and past
+    an element's own stop the further terms are below half an ulp of its
+    sum on the arguments up to 1/2 that the panels pass (the terminating
+    panel's polynomial ends in zero terms), so each order's weights are
+    bit for bit the ones it gets when built alone.  Near an integer gap it
+    combines the discretizations at the offsets of _nudge_offsets, each
+    scaled by its extrapolation coefficient and the pole factors
+    prod (s0 + d - p) / (s0 - p).
     """
     if _near_integer_gap(params):
         s0 = params.eta - params.beta - params.mu
         near = [p for p in (-(1.0 + params.mu) - j for j in range(3)) if abs(s0 - p) < 0.5]
-        taus, weights = [], []
+        taus, weights = [[] for _ in orders], [[] for _ in orders]
         for d, coef in zip(*_nudge_offsets(params)):
-            tau, w = _discretize(replace(params, eta=params.eta + d), x, n)
+            levels = _discretize(replace(params, eta=params.eta + d), x, orders)
             for p in near:
                 coef *= (s0 + d - p) / (s0 - p)
-            taus.append(tau)
-            weights.append(coef * w)
-        return np.concatenate(taus), np.concatenate(weights)
+            for i, (tau, w) in enumerate(levels):
+                taus[i].append(tau)
+                weights[i].append(coef * w)
+        return [(np.concatenate(t), np.concatenate(w)) for t, w in zip(taus, weights)]
     alpha, beta_, eta, mu, k = params.alpha, params.beta, params.eta, params.mu, params.k
     a = alpha + beta_ + mu
     b = -eta
@@ -321,24 +334,30 @@ def _discretize(params: OperatorParams, x: float, n: int) -> tuple[np.ndarray, n
         branches.append((False, sign2, log_lo + log_c2 - s * _LOG2, b_lo + kp1 * s,
                          (alpha - a, alpha - b, 1.0 + s), True))
 
-    taus, weights = [], []
+    edges = [0, *accumulate(orders)]
+    taus, weights = [[] for _ in orders], [[] for _ in orders]
     for upper, sign, log_scale, b_exp, (ca, cb, cc), in_u in branches:
         if sign == 0.0:
             continue
-        rule = gauss_jacobi_rule(0.0, b_exp, n)
+        rules = [gauss_jacobi_rule(0.0, b_exp, n) for n in orders]
+        nodes = np.concatenate([rule.nodes for rule in rules])
         if upper:
-            one_minus_u = 0.5 * rule.nodes
+            one_minus_u = 0.5 * nodes
             u = 1.0 - one_minus_u
-            taus.append(x * u ** inv_kp1)
+            tau = x * u ** inv_kp1
             smooth = u ** mu
         else:
-            u = 0.5 * rule.nodes ** kp1
+            u = 0.5 * nodes ** kp1
             one_minus_u = 1.0 - u
-            taus.append(tau_half * rule.nodes)
+            tau = tau_half * nodes
             smooth = one_minus_u ** (alpha - 1.0)
         series = _series_2f1_vec(ca, cb, cc, u if in_u else one_minus_u)
-        weights.append(sign * exp(log_scale) * rule.weights * smooth * series)
-    return np.concatenate(taus), np.concatenate(weights)
+        w = (sign * exp(log_scale) * np.concatenate([rule.weights for rule in rules])
+             * smooth * series)
+        for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            taus[i].append(tau[lo:hi])
+            weights[i].append(w[lo:hi])
+    return [(np.concatenate(t), np.concatenate(w)) for t, w in zip(taus, weights)]
 
 
 def _nudge_offsets(params: OperatorParams) -> tuple[list[float], list[float]]:
@@ -377,19 +396,19 @@ def operator_images(
 ) -> list[OperatorResult]:
     """Evaluate the operator at x for each positive integrand in fs, in order.
 
-    The discretizations at orders n and 2n are built once and serve every
-    integrand.  Each ``f`` must accept a numpy array of points in (0, x]
-    and evaluate elementwise; it is called once, on the nodes of both
-    refinement levels.  The result is computed at rule order 2*order and the error
-    estimate is the difference against the order-n evaluation, so it
-    reflects the actual refinement behaviour for this integrand.  A
-    non-finite value of f raises EvaluationError carrying that node tau.
+    The discretizations at orders n and 2n are built together, in one
+    _discretize pass, and serve every integrand.  Each ``f`` must accept a
+    numpy array of points in (0, x] and evaluate elementwise; it is called
+    once, on the nodes of both refinement levels.  The result is computed
+    at rule order 2*order and the error estimate is the difference against
+    the order-n evaluation, so it reflects the actual refinement behaviour
+    for this integrand.  A non-finite value of f raises EvaluationError
+    carrying that node tau.
     """
     validate(params)
     _check_point(x)
     order = _check_order(order)
-    tau_c, w_c = _discretize(params, x, order)
-    tau_f, w_f = _discretize(params, x, 2 * order)
+    (tau_c, w_c), (tau_f, w_f) = _discretize(params, x, (order, 2 * order))
     tau = np.concatenate((tau_c, tau_f))
     nudged = _near_integer_gap(params)
     results = []

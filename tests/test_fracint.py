@@ -26,6 +26,7 @@ from hyperk import (
     rl_k_integral,
     validate,
 )
+from hyperk import fracint
 from hyperk.fracint import MAX_OPERATOR_ORDER
 from oracles import oracle_u
 
@@ -266,6 +267,35 @@ class TestOperatorImages:
         with pytest.raises(EvaluationError) as exc_info:
             operator_images(strict_params(2), [ONE, blows_up, ONE], x)
         assert 0.0 < exc_info.value.node < x
+
+
+class TestDiscretize:
+    @pytest.mark.parametrize("path", PATH_CASES)
+    def test_levels_equal_single_order_builds(self, path):
+        """Building orders (n, 2n) in one pass gives each order, bit for bit,
+        the nodes and weights it gets when built alone."""
+        params = PATH_CASES[path]
+        levels = fracint._discretize(params, 1.3, (64, 128))
+        assert len(levels) == 2
+        for (tau, w), n in zip(levels, (64, 128)):
+            tau_alone, w_alone = fracint._discretize(params, 1.3, (n,))[0]
+            assert np.array_equal(tau, tau_alone)
+            assert np.array_equal(w, w_alone)
+
+    @pytest.mark.parametrize("path,panels", [("split", 3), ("terminating", 2), ("nudged", 12)])
+    def test_one_series_call_per_panel(self, path, panels, monkeypatch):
+        """Both refinement levels share each panel's 2F1 series call; the
+        nudged path has the split's three panels at each of four eta offsets."""
+        sizes = []
+        inner = fracint._series_2f1_vec
+
+        def counted(a, b, c, z):
+            sizes.append(np.size(z))
+            return inner(a, b, c, z)
+
+        monkeypatch.setattr(fracint, "_series_2f1_vec", counted)
+        apply_operator(PATH_CASES[path], ONE, 1.3, order=16)
+        assert sizes == [16 + 32] * panels
 
 
 # Cross-validation against the independent extended-precision oracle.

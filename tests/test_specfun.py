@@ -283,3 +283,18 @@ class TestSeriesBlocks:
             got = _series_2f1_vec(a, b, c, z)
             want, size = series_loop(a, b, c, z)
             assert np.all(np.abs(got - want) <= 50 * np.finfo(float).eps * size)
+
+    def test_joint_call_returns_each_sets_own_values(self):
+        # the operator builds every refinement level of a panel from one
+        # call over all of their nodes: a neighbour that needs more terms
+        # only adds terms past an element's own stop, and on z <= 1/2 those
+        # fall below half an ulp of its sum, so each element keeps its value
+        rng = np.random.default_rng(2026_10)
+        for _ in range(300):
+            a, b = rng.uniform(-3.0, 3.0, 2)
+            c = rng.uniform(0.1, 3.0)
+            z1 = rng.uniform(0.0, 0.5, int(rng.integers(1, 130)))
+            z2 = rng.uniform(0.0, 0.5, int(rng.integers(1, 260)))
+            both = _series_2f1_vec(a, b, c, np.concatenate((z1, z2)))
+            assert np.array_equal(both[: z1.size], _series_2f1_vec(a, b, c, z1))
+            assert np.array_equal(both[z1.size :], _series_2f1_vec(a, b, c, z2))
