@@ -275,10 +275,16 @@ def _row_dict(rep) -> dict:
 
 
 def _summary_line(s: dict) -> str:
+    def at(row):
+        return "-" if row is None else f"{row[0]}:{row[1]}"
+
     return ("# summary: checks={checks} pass={p} fail={f} inconclusive={i} "
-            "min_margin={mm} max_combined_error={me}\n").format(
+            "min_margin={mm} min_margin_at={mma} max_combined_error={me} "
+            "max_rel_combined_error={mr} max_rel_combined_error_at={mra}\n").format(
         checks=s["checks"], p=s["pass"], f=s["fail"], i=s["inconclusive"],
-        mm=_g17(s["min_margin"]), me=_g17(s["max_combined_error"]))
+        mm=_g17(s["min_margin"]), mma=at(s["min_margin_at"]),
+        me=_g17(s["max_combined_error"]), mr=_g17(s["max_rel_combined_error"]),
+        mra=at(s["max_rel_combined_error_at"]))
 
 
 def _render(columns, rows: list[dict], fmt: str, human, summary: dict | None = None) -> str:

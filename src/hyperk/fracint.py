@@ -27,18 +27,29 @@ connection formula, one Gauss-Jacobi rule per branch, each with the u^s
 power absorbed into its weight.  When a or b is a non-positive integer the
 2F1 is a polynomial and no split of the lower half is needed.
 
-None of this depends on f, so at rule order n the operator is a linear
-functional I[f](x) ~ w @ f(tau): the panels' nodes, mapped back to tau in
-(0, x), are concatenated, and the weights w carry the prefactor, the Jacobi
-weights, the 2F1 factor at each node and the connection coefficients.  When
-s sits within 1e-6 of an integer the connection coefficients become
+None of this depends on f, so the operator is a linear functional
+I[f](x) ~ w @ f(tau): the panels' nodes, mapped back to tau in (0, x), are
+concatenated, and the weights w carry the prefactor, the Jacobi weights,
+the 2F1 factor at each node and the connection coefficients.  When s sits
+within 1e-6 of an integer the connection coefficients become
 ill-conditioned; the value is then extrapolated across small eta offsets
 (the operator value is analytic in eta), and since that extrapolation is
-linear too, it is folded into w as well.  operator_images builds w at
-orders n and 2n in one pass, with one 2F1 series call per panel over the
-nodes of both orders, and evaluates each integrand once on both node sets,
-so one discretization serves every image of a check; apply_operator is its
-one-integrand case.
+linear too, it is folded into w as well.
+
+w is built at two levels.  The coarse level gives each panel its order-n
+Gauss-Jacobi rule.  The fine level refines each panel by splitting it
+rather than by doubling the order (quadrature.split_rule): the same
+order-n rule, scaled onto [0, 1/4] of the panel's node variable, keeps the
+endpoint singularity, and Gauss-Legendre panels share n more nodes over
+[1/4, 1], cut at the integrands' kinks.  For a t^lambda branch point at
+the panel's singular end the scaled rule has 4^-(1+b+lambda) times the
+error of the unscaled one, the same factor that doubling the order gives,
+so only the kinks change what the fine level resolves; and no rule of
+order 2n, the costliest eigenproblem of a check, is ever built.
+operator_images builds both levels in one pass, with one 2F1 series call
+per panel over the nodes of both, and evaluates each integrand once on
+both node sets, so one discretization serves every image of a check;
+apply_operator is its one-integrand case.
 """
 
 from __future__ import annotations
@@ -52,7 +63,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import DomainError, EvaluationError, ValidationError
-from .quadrature import MAX_ORDER, gauss_jacobi_rule, integrate
+from .quadrature import MAX_ORDER, gauss_jacobi_rule, integrate, split_rule
 from .specfun import (
     _is_nonpositive_integer,
     _series_2f1_vec,
@@ -76,8 +87,8 @@ __all__ = [
 ]
 
 DEFAULT_ORDER = 64
-# the operator refines every estimate at twice the requested order, so it
-# can offer at most half of what the rule layer provides
+# the operator's reference rl_k_integral integrates at twice the requested
+# order, so it can offer at most half of what the rule layer provides
 MAX_OPERATOR_ORDER = MAX_ORDER // 2
 
 _LOG2 = log(2.0)
@@ -107,10 +118,12 @@ class OperatorParams:
 class OperatorResult:
     """Operator value with the refinement-based error estimate.
 
-    ``error_estimate`` is |I at order_used - I at order_used/2|; the value
-    itself is the finer of the two.  Near an integer gap, where the value
-    is extrapolated across eta offsets, the estimate is at least 1e-10
-    times |value|, the extrapolation's bias allowance.
+    ``value`` is the fine level's and ``error_estimate`` is its difference
+    from the coarse level's, the plain order-n rules.  ``order_used`` is
+    2n, the fine level's node count per kink-free panel; a panel split at
+    kinks has at least that many.  Near an integer gap, where the value is
+    extrapolated across eta offsets, the estimate is at least 1e-10 times
+    |value|, the extrapolation's bias allowance.
     """
 
     value: float
@@ -264,23 +277,35 @@ def _near_integer_gap(params: OperatorParams) -> bool:
 
 
 def _discretize(
-    params: OperatorParams, x: float, orders: tuple[int, ...]
+    params: OperatorParams,
+    x: float,
+    orders: tuple[int, ...],
+    kinks: tuple[float, ...] = (),
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Nodes tau in (0, x) and weights w with I[f](x) ~ w @ f(tau), one
-    pair per rule order in orders.
+    pair per entry of orders.
+
+    The first entry n is the coarse level: each panel takes the plain
+    order-n Gauss-Jacobi rule.  Every later entry m is a fine level: each
+    panel takes split_rule at order m // 2, cut at the kinks (points in
+    (0, x) where an integrand's slope may jump) that fall inside it, so no
+    rule of order m is ever built.  A kink tau maps into the upper panel's
+    node variable as v = 2(1 - (tau/x)^(k+1)) when tau > tau_half, and into
+    the lower panels' as t = tau/tau_half when tau < tau_half.
 
     Prefactors, Jacobi weights, 2F1 node factors and connection
     coefficients all fold into w, so each discretization depends only on
-    (params, x, order) and the operator is exactly linear in f.  All orders
-    are built in one pass: the prefactor and connection coefficients are
-    computed once, and each panel's 2F1 factor is one series call over the
-    nodes of every order.  The series stops element by element, and past
-    an element's own stop the further terms are below half an ulp of its
-    sum on the arguments up to 1/2 that the panels pass (the terminating
-    panel's polynomial ends in zero terms), so each order's weights are
-    bit for bit the ones it gets when built alone.  Near an integer gap it
-    combines the discretizations at the offsets of _nudge_offsets, each
-    scaled by its extrapolation coefficient and the pole factors
+    (params, x, order, kinks) and the operator is exactly linear in f.  All
+    levels are built in one pass: the prefactor and connection coefficients
+    are computed once, and each panel's 2F1 factor is one series call over
+    the nodes of every level.  The series stops element by element, and
+    past an element's own stop the further terms are below half an ulp of
+    its sum on the arguments up to 1/2 that the panels pass (the
+    terminating panel's polynomial ends in zero terms), so each level's
+    weights are bit for bit the ones it gets when built alone.  Near an
+    integer gap it combines the discretizations at the offsets of
+    _nudge_offsets, each built with the same kinks and scaled by its
+    extrapolation coefficient and the pole factors
     prod (s0 + d - p) / (s0 - p).
     """
     if _near_integer_gap(params):
@@ -288,7 +313,7 @@ def _discretize(
         near = [p for p in (-(1.0 + params.mu) - j for j in range(3)) if abs(s0 - p) < 0.5]
         taus, weights = [[] for _ in orders], [[] for _ in orders]
         for d, coef in zip(*_nudge_offsets(params)):
-            levels = _discretize(replace(params, eta=params.eta + d), x, orders)
+            levels = _discretize(replace(params, eta=params.eta + d), x, orders, kinks)
             for p in near:
                 coef *= (s0 + d - p) / (s0 - p)
             for i, (tau, w) in enumerate(levels):
@@ -319,6 +344,12 @@ def _discretize(
     # When a or b is a non-positive integer the 2F1 is a polynomial and the
     # lower half needs no connection split.
     tau_half = x * 2.0 ** (-inv_kp1)
+    cuts_hi = cuts_lo = ()
+    if kinks:
+        # a kink on the far side of tau_half maps outside (0, 1)
+        cuts_hi = tuple(sorted(c for c in (2.0 * (1.0 - (t / x) ** kp1) for t in kinks)
+                               if 0.0 < c < 1.0))
+        cuts_lo = tuple(c for c in (t / tau_half for t in kinks) if 0.0 < c < 1.0)
     b_lo = kp1 * mu + k
     log_hi = log_pre + ((kp1 * (mu + alpha - 1.0) + k + 1.0) * log(x) - log(kp1) - alpha * _LOG2)
     log_lo = log_pre + ((b_lo + 1.0) * log(tau_half) + kp1 * (alpha - 1.0) * log(x))
@@ -334,13 +365,16 @@ def _discretize(
         branches.append((False, sign2, log_lo + log_c2 - s * _LOG2, b_lo + kp1 * s,
                          (alpha - a, alpha - b, 1.0 + s), True))
 
-    edges = [0, *accumulate(orders)]
     taus, weights = [[] for _ in orders], [[] for _ in orders]
     for upper, sign, log_scale, b_exp, (ca, cb, cc), in_u in branches:
         if sign == 0.0:
             continue
-        rules = [gauss_jacobi_rule(0.0, b_exp, n) for n in orders]
-        nodes = np.concatenate([rule.nodes for rule in rules])
+        coarse = gauss_jacobi_rule(0.0, b_exp, orders[0])
+        cuts = cuts_hi if upper else cuts_lo
+        level_nodes, level_weights = zip((coarse.nodes, coarse.weights),
+                                         *(split_rule(b_exp, m // 2, cuts) for m in orders[1:]))
+        edges = [0, *accumulate(level.size for level in level_nodes)]
+        nodes = np.concatenate(level_nodes)
         if upper:
             one_minus_u = 0.5 * nodes
             u = 1.0 - one_minus_u
@@ -352,8 +386,7 @@ def _discretize(
             tau = tau_half * nodes
             smooth = one_minus_u ** (alpha - 1.0)
         series = _series_2f1_vec(ca, cb, cc, u if in_u else one_minus_u)
-        w = (sign * exp(log_scale) * np.concatenate([rule.weights for rule in rules])
-             * smooth * series)
+        w = sign * exp(log_scale) * np.concatenate(level_weights) * smooth * series
         for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
             taus[i].append(tau[lo:hi])
             weights[i].append(w[lo:hi])
@@ -396,19 +429,25 @@ def operator_images(
 ) -> list[OperatorResult]:
     """Evaluate the operator at x for each positive integrand in fs, in order.
 
-    The discretizations at orders n and 2n are built together, in one
-    _discretize pass, and serve every integrand.  Each ``f`` must accept a
-    numpy array of points in (0, x] and evaluate elementwise; it is called
-    once, on the nodes of both refinement levels.  The result is computed
-    at rule order 2*order and the error estimate is the difference against
-    the order-n evaluation, so it reflects the actual refinement behaviour
-    for this integrand.  A non-finite value of f raises EvaluationError
-    carrying that node tau.
+    The coarse and fine discretizations are built together, in one
+    _discretize pass, and serve every integrand.  The fine level splits the
+    panels at the union of the integrands' kinks, read from a ``kinks(x)``
+    method where an integrand has one (a plain callable counts as smooth),
+    so an image equals its one-integrand call bit for bit only when the
+    integrands share their kinks.  Each ``f`` must accept a numpy array of
+    points in (0, x] and evaluate elementwise; it is called once, on the
+    nodes of both levels.  The result is the fine level's value (2*order
+    nodes per kink-free panel) and the error estimate is its difference
+    from the plain order-n rules, so it reflects the actual refinement
+    behaviour for this integrand.  A non-finite value of f raises
+    EvaluationError carrying that node tau.
     """
     validate(params)
     _check_point(x)
     order = _check_order(order)
-    (tau_c, w_c), (tau_f, w_f) = _discretize(params, x, (order, 2 * order))
+    fs = tuple(fs)
+    kinks = tuple(sorted({t for f in fs if hasattr(f, "kinks") for t in f.kinks(x)}))
+    (tau_c, w_c), (tau_f, w_f) = _discretize(params, x, (order, 2 * order), kinks)
     tau = np.concatenate((tau_c, tau_f))
     nudged = _near_integer_gap(params)
     results = []
@@ -492,11 +531,12 @@ def rl_k_integral(
         (k+1)^(1-alpha) / Gamma(alpha)
             * integral_0^x (x^(k+1) - t^(k+1))^(alpha-1) t^k f(t) dt,
 
-    via u = (t/x)^(k+1) and the same half split the main operator uses
-    (evaluated at 2*order, matching its refinement level).  The main
-    operator degenerates to exactly this at beta = -alpha, mu = eta = 0;
-    the code stays separate from _discretize so that the reduction checks
-    compare two independent implementations.
+    via u = (t/x)^(k+1) and the same half split the main operator uses,
+    each half with one Gauss-Jacobi rule of order 2*order (the node count
+    of the operator's fine level, which splits its panels instead).  The
+    main operator degenerates to exactly this at beta = -alpha,
+    mu = eta = 0; the code stays separate from _discretize so that the
+    reduction checks compare two independent implementations.
     """
     if not (math.isfinite(alpha) and alpha >= 0.05):
         raise DomainError(f"rl_k_integral requires alpha >= 0.05, got {alpha!r}")

@@ -305,21 +305,31 @@ def run_suite(
 
 
 def summarize(reports: Sequence[InequalityReport]) -> dict:
-    """Counts plus the worst margin and the largest finite combined error."""
+    """Counts, the worst margin, the largest finite combined error, and the
+    largest relative one, combined_error / max(|lhs|, |rhs|).  The
+    ``*_at`` entries name the (theorem, seed) of the row that set the
+    minimum margin and the largest relative error, or are None."""
     counts = {"pass": 0, "fail": 0, "inconclusive": 0}
-    min_margin = math.inf
+    min_margin, min_margin_at = math.inf, None
     max_err = 0.0
+    max_rel, max_rel_at = 0.0, None
     for rep in reports:
         counts[rep.verdict] += 1
-        if math.isfinite(rep.margin):
-            min_margin = min(min_margin, rep.margin)
+        if rep.margin < min_margin:
+            min_margin, min_margin_at = rep.margin, (rep.theorem_id, rep.seed)
         if math.isfinite(rep.combined_error):
             max_err = max(max_err, rep.combined_error)
+            scale = max(abs(rep.lhs), abs(rep.rhs))
+            if scale > 0.0 and rep.combined_error / scale > max_rel:
+                max_rel, max_rel_at = rep.combined_error / scale, (rep.theorem_id, rep.seed)
     return {
         "checks": len(reports),
         "pass": counts["pass"],
         "fail": counts["fail"],
         "inconclusive": counts["inconclusive"],
         "min_margin": (min_margin if math.isfinite(min_margin) else _NAN),
+        "min_margin_at": min_margin_at,
         "max_combined_error": max_err,
+        "max_rel_combined_error": max_rel,
+        "max_rel_combined_error_at": max_rel_at,
     }

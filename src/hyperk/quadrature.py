@@ -4,8 +4,17 @@ Rules are built with the Golub-Welsch eigenvalue method: the Jacobi
 recurrence coefficients are formed as whole-array expressions and the
 symmetric tridiagonal eigenproblem gives nodes and weights.  The last 128
 rules are cached, so repeated operator evaluations with the same exponents
-share one immutable rule object; a campaign draws fresh exponents for
-every check and reuses none.
+share one immutable rule object.  The cache holds the operator's order-n
+Jacobi rules and the Gauss-Legendre rules of split_rule's panels: a
+campaign draws fresh Jacobi exponents for every check and reuses none of
+the former, while the few Legendre orders are shared by every check.
+
+split_rule refines a Jacobi rule by splitting its interval instead of
+doubling its order (graded hp quadrature; Schwab, p- and hp-FEM, 1998):
+the order-n rule, scaled onto [0, sigma], keeps the t^b_exp singularity,
+and Legendre panels, graded toward sigma and split at given cuts, cover
+[sigma, 1] where t^b_exp is smooth.  The last 128 split rules are cached
+as well.
 """
 
 from __future__ import annotations
@@ -21,9 +30,13 @@ from scipy.linalg import eigh_tridiagonal
 from .errors import DomainError, EvaluationError
 from .specfun import beta
 
-__all__ = ["JacobiRule", "gauss_jacobi_rule", "integrate", "MAX_ORDER"]
+__all__ = ["JacobiRule", "gauss_jacobi_rule", "split_rule", "integrate", "MAX_ORDER"]
 
 MAX_ORDER = 256
+# split_rule's Jacobi panel ends here at the latest, and its smallest
+# Legendre panel gets this many nodes
+_SPLIT = 0.25
+_MIN_PANEL_ORDER = 8
 
 
 @dataclass(frozen=True)
@@ -113,6 +126,54 @@ def gauss_jacobi_rule(a_exp: float, b_exp: float, order: int) -> JacobiRule:
     nodes = (vals + 1.0) / 2.0
     weights = moment0 * vecs[0, :] ** 2
     return JacobiRule(a, b, order, nodes, weights)
+
+
+@lru_cache(maxsize=128)
+def split_rule(
+    b_exp: float, order: int, cuts: tuple[float, ...] = ()
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [0, 1] for the weight t^b_exp, refined by splitting.
+
+    The order-`order` Gauss-Jacobi rule is scaled onto [0, sigma] with
+    sigma = min(1/4, first cut); it comes first, node for node.  Gauss-
+    Legendre panels cover [sigma, 1], split at the cuts and, below 1/4, at
+    sigma, 2 sigma, 4 sigma, ... so that no panel [a, c] with a < 1/4 has
+    c > 2a: t^b_exp is then smooth on each panel at its own scale, and it
+    is folded into the panel's weights.  The panels share `order` nodes in
+    proportion to their length, at least min(8, order) each (a panel
+    whose share falls short takes the minimum out of the others' shares),
+    so with no cuts the rule has exactly 2 * order nodes.  cuts is a tuple
+    of points inside (0, 1), typically where the integrand's slope jumps.
+    """
+    if not all(0.0 < c < 1.0 for c in cuts):
+        raise DomainError(f"split_rule requires cuts inside (0, 1), got {cuts!r}")
+    rule = gauss_jacobi_rule(0.0, b_exp, order)
+    sigma = min((_SPLIT, *cuts))
+    edges = {sigma, 1.0, *cuts}
+    point = sigma
+    while point < _SPLIT:
+        point *= 2.0
+        edges.add(point)
+    edges = sorted(edges)
+    nodes = [sigma * rule.nodes]
+    weights = [sigma ** (b_exp + 1.0) * rule.weights]
+    # panels whose share falls below the minimum get the minimum, and the
+    # others share what is left in proportion to their length
+    min_order = min(_MIN_PANEL_ORDER, order)
+    widths = np.diff(edges)
+    small = order * widths < min_order * (1.0 - sigma)
+    spare = order - min_order * np.count_nonzero(small)
+    share = spare * widths / (widths[~small].sum() or 1.0)
+    counts = np.where(small, min_order, np.maximum(min_order, np.round(share)))
+    for lo, width, count in zip(edges, widths, counts.astype(int).tolist()):
+        panel = gauss_jacobi_rule(0.0, 0.0, count)
+        t = lo + width * panel.nodes
+        nodes.append(t)
+        weights.append(width * panel.weights * t ** b_exp)
+    nodes, weights = np.concatenate(nodes), np.concatenate(weights)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def integrate(rule: JacobiRule, smooth_part: Callable[[np.ndarray], np.ndarray]) -> float:

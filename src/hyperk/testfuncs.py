@@ -61,6 +61,10 @@ class FunctionSpec:
     def __call__(self, t):
         raise NotImplementedError
 
+    def kinks(self, x: float) -> tuple[float, ...]:
+        """Sorted points inside (0, x) where the slope may jump; none by default."""
+        return ()
+
     def __add__(self, other: "FunctionSpec") -> "FunctionSpec":
         return SumFn((self, other))
 
@@ -135,6 +139,13 @@ class TabulatedFn(FunctionSpec):
     def __call__(self, t):
         return np.interp(np.asarray(t, dtype=float), self.breakpoints, self.values)
 
+    def kinks(self, x: float) -> tuple[float, ...]:
+        return tuple(float(b) for b in self.breakpoints if 0.0 < b < x)
+
+
+def _union_of_kinks(parts, x: float) -> tuple[float, ...]:
+    return tuple(sorted({b for part in parts for b in part.kinks(x)}))
+
 
 @dataclass(frozen=True)
 class SumFn(FunctionSpec):
@@ -147,6 +158,9 @@ class SumFn(FunctionSpec):
         for part in self.parts[1:]:
             total = total + part(t)
         return total
+
+    def kinks(self, x: float) -> tuple[float, ...]:
+        return _union_of_kinks(self.parts, x)
 
 
 @dataclass(frozen=True)
@@ -161,6 +175,9 @@ class ProductFn(FunctionSpec):
             total = total * part(t)
         return total
 
+    def kinks(self, x: float) -> tuple[float, ...]:
+        return _union_of_kinks(self.parts, x)
+
 
 @dataclass(frozen=True)
 class PowFn(FunctionSpec):
@@ -174,6 +191,9 @@ class PowFn(FunctionSpec):
 
     def __call__(self, t):
         return self.base(np.asarray(t, dtype=float)) ** self.exponent
+
+    def kinks(self, x: float) -> tuple[float, ...]:
+        return self.base.kinks(x)
 
 
 _FAMILIES = {cls.family: cls for cls in

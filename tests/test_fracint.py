@@ -17,6 +17,7 @@ from hyperk import (
     TabulatedFn,
     ValidationError,
     apply_operator,
+    gauss_jacobi_rule,
     kernel_closed,
     kernel_series,
     log_gamma,
@@ -28,7 +29,7 @@ from hyperk import (
 )
 from hyperk import fracint
 from hyperk.fracint import MAX_OPERATOR_ORDER
-from oracles import oracle_u
+from oracles import breakpoints, oracle_u
 
 ONE = PowerFn(1.0, 0.0)
 RL_CASE = OperatorParams(1.0, -1.0, 0.0, 0.0, 0.0, validation_mode=DEFINITION_ONLY)
@@ -245,10 +246,17 @@ IMAGE_FNS = (ExpFn(1.3, 0.5),
 class TestOperatorImages:
     @pytest.mark.parametrize("path", PATH_CASES)
     def test_equals_one_call_per_integrand(self, path):
+        """Bit for bit when the integrands share their kinks; with the
+        tabulated integrand's kinks added to the smooth ones' discretization,
+        each image still agrees within the two error estimates."""
         params = PATH_CASES[path]
-        got = operator_images(params, list(IMAGE_FNS), 1.3)
-        want = [apply_operator(params, fn, 1.3) for fn in IMAGE_FNS]
-        assert got == want
+        tabulated = IMAGE_FNS[2]
+        for fns in (IMAGE_FNS[:2], (tabulated, ProductFn((IMAGE_FNS[0], tabulated)))):
+            got = operator_images(params, list(fns), 1.3)
+            assert got == [apply_operator(params, fn, 1.3) for fn in fns]
+        for got, fn in zip(operator_images(params, list(IMAGE_FNS), 1.3), IMAGE_FNS):
+            alone = apply_operator(params, fn, 1.3)
+            assert abs(got.value - alone.value) <= got.error_estimate + alone.error_estimate
 
     @pytest.mark.parametrize("path", PATH_CASES)
     def test_results_follow_input_order(self, path):
@@ -272,15 +280,28 @@ class TestOperatorImages:
 class TestDiscretize:
     @pytest.mark.parametrize("path", PATH_CASES)
     def test_levels_equal_single_order_builds(self, path):
-        """Building orders (n, 2n) in one pass gives each order, bit for bit,
-        the nodes and weights it gets when built alone."""
+        """The coarse level is bit for bit order n built alone.  Without
+        kinks the fine level has twice its nodes, and its first n are the
+        upper panel's order-n rule scaled onto [0, 1/4] of v = 2(1 - u)."""
         params = PATH_CASES[path]
         levels = fracint._discretize(params, 1.3, (64, 128))
         assert len(levels) == 2
-        for (tau, w), n in zip(levels, (64, 128)):
-            tau_alone, w_alone = fracint._discretize(params, 1.3, (n,))[0]
-            assert np.array_equal(tau, tau_alone)
-            assert np.array_equal(w, w_alone)
+        (tau_c, w_c), (tau_f, w_f) = levels
+        tau_alone, w_alone = fracint._discretize(params, 1.3, (64,))[0]
+        assert np.array_equal(tau_c, tau_alone)
+        assert np.array_equal(w_c, w_alone)
+        assert tau_f.shape == w_f.shape == (2 * tau_c.size,)
+        v = 0.25 * gauss_jacobi_rule(0.0, params.alpha - 1.0, 64).nodes
+        assert np.array_equal(tau_f[:64], 1.3 * (1.0 - 0.5 * v) ** (1.0 / (params.k + 1.0)))
+
+    @pytest.mark.parametrize("path", PATH_CASES)
+    def test_kinks_split_only_the_fine_level(self, path):
+        params = PATH_CASES[path]
+        plain = fracint._discretize(params, 1.3, (64, 128))
+        split = fracint._discretize(params, 1.3, (64, 128), (0.4, 0.9, 1.25))
+        assert np.array_equal(split[0][0], plain[0][0])
+        assert np.array_equal(split[0][1], plain[0][1])
+        assert not np.array_equal(split[1][0], plain[1][0])
 
     @pytest.mark.parametrize("path,panels", [("split", 3), ("terminating", 2), ("nudged", 12)])
     def test_one_series_call_per_panel(self, path, panels, monkeypatch):
@@ -356,6 +377,21 @@ def test_oracle_agreement_on_sampled_strict_draws():
         want = oracle_u(inst.params, f, inst.x)
         rel = abs(res.value - want) / abs(want)
         assert rel <= max(5.0 * res.error_estimate / abs(want), 1e-8)
+
+
+# f-images of generator instances whose kinks fall inside a panel: each
+# error estimate fell short of the true error while the fine level was the
+# order-2n rule across the kinks
+KINKED_IMAGES = [(6, "3.1"), (9, "4.1"), (28, "4.1"), (32, "4.4"), (38, "4.4")]
+
+
+@pytest.mark.parametrize("seed,tid", KINKED_IMAGES)
+def test_error_estimate_bounds_the_true_error_at_kinks(seed, tid):
+    inst = random_instance(seed, tid)
+    assert breakpoints(inst.f, inst.x)
+    res = apply_operator(inst.params, inst.f, inst.x)
+    want = oracle_u(inst.params, inst.f, inst.x)
+    assert abs(res.value - want) <= max(res.error_estimate, 1e-13 * abs(want))
 
 
 class TestOperatorOfOne:

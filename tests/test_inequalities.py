@@ -11,6 +11,7 @@ from hyperk import (
     CHECKERS,
     AffineFn,
     HyperkError,
+    InequalityReport,
     PowerFn,
     PowFn,
     ProductFn,
@@ -35,24 +36,23 @@ from oracles import oracle_u
 PINNED_SEEDS = {"3.1": 7, "3.2": 11, "4.1": 13, "4.2": 17, "4.3": 19, "4.4": 23}
 
 # combined_error of the pinned checks and of the proof steps of
-# random_instance(29, "3.1"), as the per-theorem hand-derived error
-# formulas gave them before one first-order rule replaced them
+# random_instance(29, "3.1"), with the fine level split at the kinks
 GOLDEN_ERRORS = {
-    "3.1": 0.00016666118561022152,
-    "3.2": 3.1756817718803514e-06,
-    "4.1": 6.473977271860591e-10,
-    "4.2": 0.0002577008637603375,
-    "4.3": 0.0,
-    "4.4": 1.0637440078185586e-12,
+    "3.1": 0.0002300635635687159,
+    "3.2": 3.176048224290456e-06,
+    "4.1": 6.477856376083656e-10,
+    "4.2": 0.00022611580640403078,
+    "4.3": 1.7867552330825755e-14,
+    "4.4": 1.0641025908097435e-12,
 }
 GOLDEN_STEP_ERRORS = {
-    "3.5": 7.496877984838508e-11,
-    "3.8": 1.1759407871762775e-11,
-    "4.15": 7.496877984838508e-11,
-    "4.18": 2.0688019169409722e-11,
-    "4.20": 3.0888343831060926e-09,
-    "4.22": 4.1799106669843756e-08,
-    "4.23": 1.0702622150205935e-09,
+    "3.5": 7.502288071763124e-11,
+    "3.8": 1.1767315795001146e-11,
+    "4.15": 7.502288071763124e-11,
+    "4.18": 2.0700932261843873e-11,
+    "4.20": 3.0910854652647965e-09,
+    "4.22": 4.182938003705677e-08,
+    "4.23": 1.0710289889451247e-09,
 }
 
 
@@ -268,28 +268,35 @@ class TestProofSteps:
 
 class TestDiscretizationReuse:
     """Every check builds the operator's discretization at both refinement
-    levels (orders n and 2n) in one call and reuses it for all of its images."""
+    levels (orders n and 2n) in one call, split at the union of f's and g's
+    kinks, and reuses it for all of its images."""
 
     @pytest.fixture
     def discretize_calls(self, monkeypatch):
         calls = []
         inner = fracint._discretize
 
-        def counted(params, x, orders):
-            calls.append(orders)
-            return inner(params, x, orders)
+        def counted(params, x, orders, kinks=()):
+            calls.append((orders, kinks))
+            return inner(params, x, orders, kinks)
 
         monkeypatch.setattr(fracint, "_discretize", counted)
         return calls
 
+    @staticmethod
+    def union_of_kinks(inst):
+        return tuple(sorted({*inst.f.kinks(inst.x), *inst.g.kinks(inst.x)}))
+
     @pytest.mark.parametrize("tid", THEOREM_IDS)
     def test_each_checker_discretizes_twice(self, tid, discretize_calls):
-        CHECKERS[tid](random_instance(PINNED_SEEDS[tid], tid))
-        assert discretize_calls == [(64, 128)]
+        inst = random_instance(PINNED_SEEDS[tid], tid)
+        CHECKERS[tid](inst)
+        assert discretize_calls == [((64, 128), self.union_of_kinks(inst))]
 
     def test_proof_steps_discretize_twice(self, discretize_calls):
-        check_proof_steps(random_instance(29, "3.1"))
-        assert discretize_calls == [(64, 128)]
+        inst = random_instance(29, "3.1")
+        check_proof_steps(inst)
+        assert discretize_calls == [((64, 128), self.union_of_kinks(inst))]
 
 
 class TestRunSuite:
@@ -303,7 +310,7 @@ class TestRunSuite:
         for row in run_suite(THEOREM_IDS, 20, base_seed=0):
             digest.update(repr(row).encode() + b"\n")
         assert digest.hexdigest() == (
-            "e80bfe3669bd5353aa40c63f629fa0736bbeafd72995297db522183175eaf260")
+            "dfb9c717f7244bca80fe8cc4fbb8ce4b97a5431ecea96ea001c97365d1d8e370")
 
     def test_single_trial_equals_single_check(self):
         row = run_suite(["3.2"], trials=1, base_seed=9)[0]
@@ -387,6 +394,23 @@ class TestRunSuite:
         assert agg["pass"] + agg["fail"] + agg["inconclusive"] == 3
         assert agg["min_margin"] == min(r.margin for r in rows)
         assert agg["max_combined_error"] == max(r.combined_error for r in rows)
+
+    def test_summarize_names_the_worst_rows(self):
+        """The relative error divides by the larger side, so the row with
+        the largest absolute error need not be the one named."""
+        def row(tid, seed, lhs, rhs, err):
+            return InequalityReport(tid, seed, lhs, rhs, rhs - lhs, err, "pass", None)
+
+        rows = [row("3.1", 4, 2.6e5, 2.7e5, 23.9), row("4.2", 9, 1.0, 1.5, 1e-3),
+                row("4.4", 2, 3.0, 3.2, 1e-9), inequalities._error_row("4.1", 7, HyperkError("x"))]
+        agg = summarize(rows)
+        assert agg["max_combined_error"] == 23.9
+        assert agg["max_rel_combined_error"] == 1e-3 / 1.5
+        assert agg["max_rel_combined_error_at"] == ("4.2", 9)
+        assert agg["min_margin"] == pytest.approx(0.2)
+        assert agg["min_margin_at"] == ("4.4", 2)
+        empty = summarize([rows[-1]])
+        assert empty["min_margin_at"] is None and empty["max_rel_combined_error_at"] is None
 
 
 def test_campaign_smoke_all_theorems():

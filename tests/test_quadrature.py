@@ -12,7 +12,7 @@ from hyperk import (
     gauss_jacobi_rule,
     integrate,
 )
-from hyperk.quadrature import MAX_ORDER
+from hyperk.quadrature import MAX_ORDER, split_rule
 
 EXPONENT_GRID = [-0.5, 0.0, 0.5, 1.0]
 
@@ -182,3 +182,58 @@ def test_rule_domain_errors(a_exp, b_exp, order):
 def test_rule_rejects_non_integer_order():
     with pytest.raises(DomainError):
         gauss_jacobi_rule(0.0, 0.0, 2.5)
+
+
+SPLIT_EXPONENTS = [-0.95, -0.5, 0.0, 2.0, 3.0]
+SPLIT_CUTS = [(), (0.01,), (0.4, 0.7), (0.1, 0.3, 0.55, 0.8)]
+
+
+def split_moment_errors(b_exp, cuts, degrees):
+    nodes, weights = split_rule(b_exp, 64, cuts)
+    return [abs(float(weights @ nodes ** j) * (b_exp + j + 1.0) - 1.0) for j in degrees]
+
+
+@pytest.mark.parametrize("b_exp", SPLIT_EXPONENTS)
+def test_split_rule_without_cuts_halves_the_interval(b_exp):
+    """The order-64 rule scaled onto [0, 1/4] comes first, then 64
+    Legendre nodes on [1/4, 1]; t^b moments stay exact to degree 127."""
+    nodes, weights = split_rule(b_exp, 64)
+    rule = gauss_jacobi_rule(0.0, b_exp, 64)
+    assert nodes.size == weights.size == 128
+    assert np.array_equal(nodes[:64], 0.25 * rule.nodes)
+    assert np.array_equal(weights[:64], 0.25 ** (b_exp + 1.0) * rule.weights)
+    assert max(split_moment_errors(b_exp, (), range(128))) <= 1e-12
+
+
+@pytest.mark.parametrize("cuts", SPLIT_CUTS[1:])
+@pytest.mark.parametrize("b_exp", SPLIT_EXPONENTS)
+def test_split_rule_moments_with_cuts(b_exp, cuts):
+    # a cut at 0.01 leaves [0.01, 1] to the Legendre panels; t^-0.95 stays
+    # resolved only because they are graded dyadically up to 1/4
+    assert max(split_moment_errors(b_exp, cuts, range(16))) <= 1e-12
+
+
+@pytest.mark.parametrize("cuts", SPLIT_CUTS)
+@pytest.mark.parametrize("b_exp", SPLIT_EXPONENTS)
+def test_split_rule_nodes_increase_inside_the_interval(b_exp, cuts):
+    nodes, weights = split_rule(b_exp, 64, cuts)
+    assert 0.0 < nodes[0] and nodes[-1] < 1.0
+    assert np.all(np.diff(nodes) > 0.0)
+    assert np.all(weights > 0.0)
+
+
+@pytest.mark.parametrize("cuts", SPLIT_CUTS[1:])
+@pytest.mark.parametrize("b_exp", SPLIT_EXPONENTS)
+def test_split_rule_integrates_kinks_at_its_cuts(b_exp, cuts):
+    """t^b |t - c| has its kink on a panel edge, so it integrates exactly."""
+    nodes, weights = split_rule(b_exp, 64, cuts)
+    b1, b2 = b_exp + 1.0, b_exp + 2.0
+    for c in cuts:
+        want = (2.0 * c ** b2 / b1 - 2.0 * c ** b2 / b2 + 1.0 / b2 - c / b1)
+        assert float(weights @ np.abs(nodes - c)) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("cuts", [(0.0,), (0.5, 1.0), (-0.2,)])
+def test_split_rule_rejects_cuts_outside_the_interval(cuts):
+    with pytest.raises(DomainError):
+        split_rule(0.0, 8, cuts)

@@ -58,6 +58,26 @@ def test_tabulated_interpolates_linearly():
     assert t(5.0) == pytest.approx(2.0, rel=1e-15)
 
 
+class TestKinks:
+    TAB = TabulatedFn((0.0, 0.3, 0.8, 1.5, 2.0), (1.0, 2.0, 1.0, 3.0, 2.0))
+
+    def test_tabulated_keeps_the_knots_inside_the_interval(self):
+        assert self.TAB.kinks(1.5) == (0.3, 0.8)
+        assert self.TAB.kinks(3.0) == (0.3, 0.8, 1.5, 2.0)
+        assert self.TAB.kinks(0.3) == ()
+
+    def test_nested_trees_take_the_union(self):
+        other = TabulatedFn((0.1, 0.8, 1.2), (1.0, 2.0, 1.5))
+        spec = PowFn(SumFn((ProductFn((self.TAB, ExpFn(1.0, 0.5))), PowFn(other, 2.0))), 0.5)
+        assert spec.kinks(1.0) == (0.1, 0.3, 0.8)
+        assert spec.kinks(2.0) == (0.1, 0.3, 0.8, 1.2, 1.5)
+
+    def test_leaf_families_have_none(self):
+        smooth = SumFn((PowerFn(1.0, 0.5), ProductFn((ExpFn(1.0, 1.0), AffineFn(1.0, 1.0)))))
+        for spec in (PowerFn(1.0, 0.5), ExpFn(1.0, 1.0), AffineFn(1.0, 1.0), smooth, smooth ** 2.0):
+            assert spec.kinks(2.0) == ()
+
+
 def test_function_serialization_roundtrip():
     rng = np.random.default_rng(10)
     from hyperk import draw_positive_function
