@@ -32,9 +32,11 @@ I[f](x) ~ w @ f(tau): the panels' nodes, mapped back to tau in (0, x), are
 concatenated, and the weights w carry the prefactor, the Jacobi weights,
 the 2F1 factor at each node and the connection coefficients.  When s sits
 within 1e-6 of an integer the connection coefficients become
-ill-conditioned; the value is then extrapolated across small eta offsets
-(the operator value is analytic in eta), and since that extrapolation is
-linear too, it is folded into w as well.
+ill-conditioned; the lower half alone is then extrapolated across small eta
+offsets (it is analytic in eta), one pair of connection branches per
+offset, and since that extrapolation is linear too, it is folded into w as
+well.  The upper half has no connection coefficients and stays at the true
+eta, so the nudged path makes 9 series calls: 1 upper, 2 per offset.
 
 w is built at two levels.  The coarse level gives each panel its order-n
 Gauss-Jacobi rule.  The fine level refines each panel by splitting it
@@ -55,7 +57,7 @@ apply_operator is its one-integrand case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 from math import exp, log
 from typing import Callable, Iterable
@@ -121,9 +123,9 @@ class OperatorResult:
     ``value`` is the fine level's and ``error_estimate`` is its difference
     from the coarse level's, the plain order-n rules.  ``order_used`` is
     2n, the fine level's node count per kink-free panel; a panel split at
-    kinks has at least that many.  Near an integer gap, where the value is
-    extrapolated across eta offsets, the estimate is at least 1e-10 times
-    |value|, the extrapolation's bias allowance.
+    kinks has at least that many.  Near an integer gap, where the lower
+    half is extrapolated across eta offsets, the estimate is at least 1e-10
+    times |value|, the extrapolation's bias allowance.
     """
 
     value: float
@@ -302,24 +304,14 @@ def _discretize(
     past an element's own stop the further terms are below half an ulp of
     its sum on the arguments up to 1/2 that the panels pass (the
     terminating panel's polynomial ends in zero terms), so each level's
-    weights are bit for bit the ones it gets when built alone.  Near an
-    integer gap it combines the discretizations at the offsets of
-    _nudge_offsets, each built with the same kinks and scaled by its
-    extrapolation coefficient and the pole factors
-    prod (s0 + d - p) / (s0 - p).
+    weights are bit for bit the ones it gets when built alone.  The lower
+    half's connection branches come in one pair per (offset, coefficient)
+    of _nudge_offsets, each pair built at eta + offset and scaled by its
+    coefficient: a single pair at offset 0 away from an integer gap, and
+    near one the four pairs whose sum extrapolates the lower half to the
+    true eta.  The upper panel has no connection coefficients, so it is
+    built once, at the true eta, on every path.
     """
-    if _near_integer_gap(params):
-        s0 = params.eta - params.beta - params.mu
-        near = [p for p in (-(1.0 + params.mu) - j for j in range(3)) if abs(s0 - p) < 0.5]
-        taus, weights = [[] for _ in orders], [[] for _ in orders]
-        for d, coef in zip(*_nudge_offsets(params)):
-            levels = _discretize(replace(params, eta=params.eta + d), x, orders, kinks)
-            for p in near:
-                coef *= (s0 + d - p) / (s0 - p)
-            for i, (tau, w) in enumerate(levels):
-                taus[i].append(tau)
-                weights[i].append(coef * w)
-        return [(np.concatenate(t), np.concatenate(w)) for t, w in zip(taus, weights)]
     alpha, beta_, eta, mu, k = params.alpha, params.beta, params.eta, params.mu, params.k
     a = alpha + beta_ + mu
     b = -eta
@@ -359,11 +351,13 @@ def _discretize(
     if _is_nonpositive_integer(a) or _is_nonpositive_integer(b):
         branches.append((False, 1.0, log_lo, b_lo, (a, b, alpha), False))
     else:
-        sign1, log_c1 = gamma_ratio(alpha, s, alpha - a, alpha - b)
-        sign2, log_c2 = gamma_ratio(alpha, -s, a, b)
-        branches.append((False, sign1, log_lo + log_c1, b_lo, (a, b, 1.0 - s), True))
-        branches.append((False, sign2, log_lo + log_c2 - s * _LOG2, b_lo + kp1 * s,
-                         (alpha - a, alpha - b, 1.0 + s), True))
+        for d, coef in _nudge_offsets(params):
+            sd, bd = s + d, b - d
+            sign1, log_c1 = gamma_ratio(alpha, sd, alpha - a, alpha - bd)
+            sign2, log_c2 = gamma_ratio(alpha, -sd, a, bd)
+            branches.append((False, coef * sign1, log_lo + log_c1, b_lo, (a, bd, 1.0 - sd), True))
+            branches.append((False, coef * sign2, log_lo + log_c2 - sd * _LOG2, b_lo + kp1 * sd,
+                             (alpha - a, alpha - bd, 1.0 + sd), True))
 
     taus, weights = [[] for _ in orders], [[] for _ in orders]
     for upper, sign, log_scale, b_exp, (ca, cb, cc), in_u in branches:
@@ -393,32 +387,37 @@ def _discretize(
     return [(np.concatenate(t), np.concatenate(w)) for t, w in zip(taus, weights)]
 
 
-def _nudge_offsets(params: OperatorParams) -> tuple[list[float], list[float]]:
-    """Offsets in eta and the coefficients that extrapolate to offset 0.
+def _nudge_offsets(params: OperatorParams) -> list[tuple[float, float]]:
+    """(offset in eta, coefficient) pairs whose sum extrapolates the lower
+    half L to offset 0; [(0.0, 1.0)] away from an integer gap.
 
-    The value I(eta) is analytic in eta except for simple poles where the
-    integral stops converging, at s = -(1 + mu) - j for integer j >= 0.
-    Such a pole can sit close to the extrapolation target (the convergence
-    margin mu + s + 1 can be small), which would make a plain Richardson
-    step stall.  Multiplying the samples by (s - p) for each nearby pole p
+    L(eta) is analytic in eta except for simple poles where the integral
+    stops converging, at s = -(1 + mu) - j for integer j >= 0.  Such a pole
+    can sit close to the extrapolation target (the convergence margin
+    mu + s + 1 can be small), which would make a plain Richardson step
+    stall.  Multiplying the samples by (s - p) for each nearby pole p
     removes them, so the extrapolated quantity is analytic in a radius-0.5
     disk at least and a centered Richardson step on symmetric pairs (or,
     when a downward nudge would cross the convergence edge, the cubic
     through four one-sided steps upward) recovers it with O(delta^4) error
-    while every offset evaluation sees a well-conditioned connection
-    split.  delta trades the delta^4 bias against the eps/delta rounding
-    of the near-degenerate splits; 2e-4 keeps both a couple of orders
-    below the 1e-10 relative floor that apply_operator puts on the error
-    estimate for this path.  The gap is within 1e-6 of an integer and
-    every offset is at least 2e-4 and at most 8e-4, so no shifted gap is
-    near an integer and each offset takes the plain split.
+    while every offset sees a well-conditioned connection split.  Each
+    coefficient is the Richardson weight times prod (s + d - p) / (s - p).
+    delta trades the delta^4 bias against the eps/delta rounding of the
+    near-degenerate splits; 2e-4 keeps both a couple of orders below the
+    1e-10 relative floor that apply_operator puts on the error estimate for
+    this path.  The gap is within 1e-6 of an integer and every offset is at
+    least 2e-4 and at most 8e-4, so no shifted gap is near an integer.
     """
+    if not _near_integer_gap(params):
+        return [(0.0, 1.0)]
     s = params.eta - params.beta - params.mu
     delta = 2e-4
-    down_ok = params.mu + min(s - 2.0 * delta, 0.0) > -1.0 + 1e-6
-    if down_ok:
-        return [-2.0 * delta, -delta, delta, 2.0 * delta], [-1.0 / 6.0, 2.0 / 3.0, 2.0 / 3.0, -1.0 / 6.0]
-    return [delta, 2.0 * delta, 3.0 * delta, 4.0 * delta], [4.0, -6.0, 4.0, -1.0]
+    if params.mu + min(s - 2.0 * delta, 0.0) > -1.0 + 1e-6:
+        offsets, coefs = [-2.0 * delta, -delta, delta, 2.0 * delta], [-1.0 / 6.0, 2.0 / 3.0, 2.0 / 3.0, -1.0 / 6.0]
+    else:
+        offsets, coefs = [delta, 2.0 * delta, 3.0 * delta, 4.0 * delta], [4.0, -6.0, 4.0, -1.0]
+    near = [p for p in (-(1.0 + params.mu) - j for j in range(3)) if abs(s - p) < 0.5]
+    return [(d, math.prod([(s + d - p) / (s - p) for p in near], start=c)) for d, c in zip(offsets, coefs)]
 
 
 def operator_images(

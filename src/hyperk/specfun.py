@@ -19,8 +19,6 @@ __all__ = [
     "pochhammer",
     "beta",
     "gauss_2f1",
-    "signed_log_gamma",
-    "signed_log_rgamma",
     "gamma_ratio",
 ]
 
@@ -111,7 +109,7 @@ def _is_nonpositive_integer(v: float, tol: float = 1e-12) -> bool:
     return v < 0.5 and abs(v - round(v)) < tol
 
 
-def signed_log_gamma(x: float) -> tuple[float, float]:
+def _signed_log_gamma(x: float) -> tuple[float, float]:
     """(log |Gamma(x)|, sign of Gamma(x)) for any non-pole real x.
 
     Needed by the operator's connection-formula split, where Gamma is
@@ -125,7 +123,7 @@ def signed_log_gamma(x: float) -> tuple[float, float]:
     return log(pi / abs(s)) - _log_gamma_unchecked(1.0 - x), (1.0 if s > 0.0 else -1.0)
 
 
-def signed_log_rgamma(x: float) -> tuple[float, float]:
+def _signed_log_rgamma(x: float) -> tuple[float, float]:
     """(log |1/Gamma(x)|, sign) with (-inf, 0.0) at the poles of Gamma.
 
     1/Gamma is entire, so this is total on the reals; the zero sign at
@@ -150,10 +148,10 @@ def gamma_ratio(p: float, q: float, r: float, t: float) -> tuple[float, float]:
     A pole of Gamma at r or t gives sign 0.0.  The reciprocal factors are
     summed first, so the result is exact under r <-> t (a <-> b).
     """
-    lg_p, s_p = signed_log_gamma(p)
-    lg_q, s_q = signed_log_gamma(q)
-    lr_r, s_r = signed_log_rgamma(r)
-    lr_t, s_t = signed_log_rgamma(t)
+    lg_p, s_p = _signed_log_gamma(p)
+    lg_q, s_q = _signed_log_gamma(q)
+    lr_r, s_r = _signed_log_rgamma(r)
+    lr_t, s_t = _signed_log_rgamma(t)
     return s_p * s_q * (s_r * s_t), lg_p + lg_q + (lr_r + lr_t)
 
 

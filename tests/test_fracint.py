@@ -303,10 +303,11 @@ class TestDiscretize:
         assert np.array_equal(split[0][1], plain[0][1])
         assert not np.array_equal(split[1][0], plain[1][0])
 
-    @pytest.mark.parametrize("path,panels", [("split", 3), ("terminating", 2), ("nudged", 12)])
+    @pytest.mark.parametrize("path,panels", [("split", 3), ("terminating", 2), ("nudged", 9)])
     def test_one_series_call_per_panel(self, path, panels, monkeypatch):
         """Both refinement levels share each panel's 2F1 series call; the
-        nudged path has the split's three panels at each of four eta offsets."""
+        nudged path has one upper panel, at the true eta, and the two
+        connection branches at each of four eta offsets."""
         sizes = []
         inner = fracint._series_2f1_vec
 
@@ -366,6 +367,48 @@ def test_operator_matches_extended_precision_oracle(tag, params, f, x):
     rel = abs(res.value - want) / abs(want)
     est_rel = res.error_estimate / abs(want)
     assert rel <= max(5.0 * est_rel, 1e-8), f"{tag}: rel={rel:.3e} est={est_rel:.3e}"
+
+
+# apply_operator values recorded while the nudged path still extrapolated
+# the whole operator rather than its lower half: the integer and
+# near-integer gap ORACLE_CASES, and the bench operator_grid's nudged set at
+# x = 1.25 with its seed-0 integrands
+NUDGED_ORACLE_PINS = {
+    "integer gap s=0": 0.9510657456724925,
+    "integer gap s=-1": 4.979719490924397,
+    "integer gap s=1": 0.5603752549381802,
+    "near-integer gap": 4.979712367164416,
+    "s=0 near mu=-1": 17.970839744264225,
+    "s=-1 thin margin": 150.42080836282935,
+    "s=-1 one-sided shifts": 500.30246794318487,
+    "s=-2 thin margin": 2.356757708775154,
+}
+NUDGED_GRID = OperatorParams(0.8, 0.2, -0.5 + 3e-7, 0.3, 1.0)
+NUDGED_GRID_PINS = [
+    (AffineFn(0.9263691315788141, 0.2949270999386131), 3.186551513626843),
+    (ExpFn(1.9266528899835322, -0.04242362157799251), 5.494750881376749),
+    (PowerFn(1.9605175639293018, 0.23394987943700446), 4.576338467554074),
+    (TabulatedFn((0.0, 0.7680311796193239, 0.907802916727844, 1.4876488094112768, 2.0),
+                 (0.49730374283171497, 1.7780030994283502, 0.5397641710683442,
+                  1.1981603811812032, 2.3126020265464855)), 2.783275865843536),
+    (SumFn((AffineFn(0.9265857944113427, 0.18981318701623728),
+            ExpFn(0.6266561676027718, -0.07425792079028182))), 4.771758194296365),
+    (ProductFn((ExpFn(0.845145810583841, -0.16220472002351616),
+                AffineFn(0.4362086888511587, 0.772716479656323))), 1.9152427689154532),
+    (PowFn(SumFn((AffineFn(0.7050349331349142, 0.2621186945758939),
+                  ExpFn(1.3916290358738936, -0.7710112447497804))), 2.3860121382088573),
+     12.056847459358602),
+]
+
+
+def test_nudged_values_are_pinned():
+    cases = [(params, f, x, NUDGED_ORACLE_PINS[tag])
+             for tag, params, f, x in ORACLE_CASES if tag in NUDGED_ORACLE_PINS]
+    assert len(cases) == len(NUDGED_ORACLE_PINS)
+    cases += [(NUDGED_GRID, f, 1.25, want) for f, want in NUDGED_GRID_PINS]
+    for params, f, x, want in cases:
+        assert fracint._near_integer_gap(params)
+        assert apply_operator(params, f, x).value == pytest.approx(want, rel=1e-11)
 
 
 def test_oracle_agreement_on_sampled_strict_draws():

@@ -15,7 +15,7 @@ from hyperk import (
     log_gamma,
     pochhammer,
 )
-from hyperk.specfun import _series_2f1_vec
+from hyperk.specfun import _series_2f1_vec, gamma_ratio
 from oracles import series_2f1
 
 
@@ -92,6 +92,36 @@ class TestBeta:
     def test_rejects_nonpositive(self, p, q):
         with pytest.raises(DomainError):
             beta(p, q)
+
+
+def gamma_ratio_args(n, seed):
+    """n draws of (p, q, r, t) on [-4.5, 6], each at least 0.05 from an integer."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        args = rng.uniform(-4.5, 6.0, 4)
+        if np.all(np.abs(args - np.round(args)) >= 0.05):
+            out.append(tuple(float(v) for v in args))
+    return out
+
+
+class TestGammaRatio:
+    def test_matches_mpmath_at_negative_arguments(self):
+        cases = [(-0.5, 1.5, -1.3, 2.2), (-2.7, -0.4, -3.6, -1.5), *gamma_ratio_args(100, 11)]
+        with mp.workdps(40):
+            for p, q, r, t in cases:
+                sign, log_abs = gamma_ratio(p, q, r, t)
+                want = mp.gamma(p) * mp.gamma(q) / (mp.gamma(r) * mp.gamma(t))
+                assert sign == (1.0 if want > 0 else -1.0), (p, q, r, t)
+                assert abs(mp.mpf(log_abs) - mp.log(abs(want))) <= 1e-13, (p, q, r, t)
+
+    @pytest.mark.parametrize("r,t", [(-2.0, 0.7), (1.4, 0.0), (-1.0, -3.0)])
+    def test_pole_in_denominator_gives_zero_sign(self, r, t):
+        assert gamma_ratio(1.5, -0.5, r, t)[0] == 0.0
+
+    def test_exact_under_denominator_swap(self):
+        for p, q, r, t in gamma_ratio_args(100, 12):
+            assert gamma_ratio(p, q, r, t) == gamma_ratio(p, q, t, r)
 
 
 def reachable_triples(n, seed):
