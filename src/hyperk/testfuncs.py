@@ -16,7 +16,7 @@ in [m, M]) and redraws until verify_hypotheses accepts the instance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -216,6 +216,10 @@ def _from_record(value):
     return value
 
 
+# record keys that differ from their field names
+_RECORD_KEYS = {"theorem_id": "theorem"}
+
+
 @dataclass(frozen=True)
 class TestInstance:
     """One randomized inequality scenario, replayable from (seed, theorem_id)."""
@@ -234,46 +238,34 @@ class TestInstance:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem_id,
-            "seed": self.seed,
-            "alpha": self.params.alpha,
-            "beta": self.params.beta,
-            "eta": self.params.eta,
-            "mu": self.params.mu,
-            "k": self.params.k,
-            "validation_mode": self.params.validation_mode,
-            "f": self.f.to_dict(),
-            "g": self.g.to_dict(),
-            "m": self.m,
-            "M": self.M,
-            "p": self.p,
-            "q": self.q,
-            "gamma": self.gamma,
-            "delta": self.delta,
-            "x": self.x,
-        }
+        """The fields in order, but with the seed right after the theorem;
+        params spreads into its own fields and functions nest."""
+        theorem, *rest, seed = fields(self)
+        record = {}
+        for field in (theorem, seed, *rest):
+            value = getattr(self, field.name)
+            if field.name == "params":
+                record.update((p.name, getattr(value, p.name)) for p in fields(value))
+            else:
+                record[_RECORD_KEYS.get(field.name, field.name)] = _to_record(value)
+        return record
+
+
+def _read_field(d: dict, field) -> object:
+    """A field's record value; one with a default or an Optional type may be absent."""
+    key = _RECORD_KEYS.get(field.name, field.name)
+    if field.default is not MISSING:
+        return d.get(key, field.default)
+    if str(field.type).startswith("Optional"):
+        return d.get(key)
+    return _from_record(d[key])
 
 
 def instance_from_dict(d: dict) -> TestInstance:
-    params = OperatorParams(
-        d["alpha"], d["beta"], d["eta"], d["mu"], d["k"],
-        d.get("validation_mode", "strict-theorem"),
-    )
-    return TestInstance(
-        theorem_id=d["theorem"],
-        params=params,
-        f=function_from_dict(d["f"]),
-        g=function_from_dict(d["g"]),
-        m=d.get("m"),
-        M=d.get("M"),
-        p=d.get("p"),
-        q=d.get("q"),
-        gamma=d.get("gamma"),
-        delta=d.get("delta"),
-        x=d["x"],
-        seed=d["seed"],
-    )
+    """Rebuild a TestInstance from its to_dict record; a missing required key raises KeyError."""
+    params = OperatorParams(*(_read_field(d, field) for field in fields(OperatorParams)))
+    return TestInstance(*(params if field.name == "params" else _read_field(d, field)
+                          for field in fields(TestInstance)))
 
 
 def sample_points(x_max: float, count: int = _SAMPLE_COUNT) -> np.ndarray:

@@ -284,10 +284,10 @@ class TestDiscretize:
         kinks the fine level has twice its nodes, and its first n are the
         upper panel's order-n rule scaled onto [0, 1/4] of v = 2(1 - u)."""
         params = PATH_CASES[path]
-        levels = fracint._discretize(params, 1.3, (64, 128))
+        levels, _ = fracint._discretize(params, 1.3, (64, 128))
         assert len(levels) == 2
         (tau_c, w_c), (tau_f, w_f) = levels
-        tau_alone, w_alone = fracint._discretize(params, 1.3, (64,))[0]
+        tau_alone, w_alone = fracint._discretize(params, 1.3, (64,))[0][0]
         assert np.array_equal(tau_c, tau_alone)
         assert np.array_equal(w_c, w_alone)
         assert tau_f.shape == w_f.shape == (2 * tau_c.size,)
@@ -297,17 +297,18 @@ class TestDiscretize:
     @pytest.mark.parametrize("path", PATH_CASES)
     def test_kinks_split_only_the_fine_level(self, path):
         params = PATH_CASES[path]
-        plain = fracint._discretize(params, 1.3, (64, 128))
-        split = fracint._discretize(params, 1.3, (64, 128), (0.4, 0.9, 1.25))
+        plain, _ = fracint._discretize(params, 1.3, (64, 128))
+        split, _ = fracint._discretize(params, 1.3, (64, 128), (0.4, 0.9, 1.25))
         assert np.array_equal(split[0][0], plain[0][0])
         assert np.array_equal(split[0][1], plain[0][1])
         assert not np.array_equal(split[1][0], plain[1][0])
 
-    @pytest.mark.parametrize("path,panels", [("split", 3), ("terminating", 2), ("nudged", 9)])
-    def test_one_series_call_per_panel(self, path, panels, monkeypatch):
-        """Both refinement levels share each panel's 2F1 series call; the
-        nudged path has one upper panel, at the true eta, and the two
-        connection branches at each of four eta offsets."""
+    @pytest.mark.parametrize("path,calls", [("split", 3), ("terminating", 2), ("nudged", 9)])
+    def test_one_series_call_per_panel(self, path, calls, monkeypatch):
+        """Both refinement levels share each 2F1 series call.  The nudged
+        path makes 9 calls on 6 panels: one upper panel, at the true eta,
+        the first connection panel that the four eta offsets share, one
+        call per offset, and one second-branch panel per offset."""
         sizes = []
         inner = fracint._series_2f1_vec
 
@@ -317,7 +318,45 @@ class TestDiscretize:
 
         monkeypatch.setattr(fracint, "_series_2f1_vec", counted)
         apply_operator(PATH_CASES[path], ONE, 1.3, order=16)
-        assert sizes == [16 + 32] * panels
+        assert sizes == [16 + 32] * calls
+
+    @pytest.mark.parametrize("path,panels", [("split", 3), ("terminating", 2), ("nudged", 6)])
+    def test_one_rule_lookup_per_panel(self, path, panels, monkeypatch):
+        """The operator looks up each panel's coarse Jacobi rule once (the
+        fine level's rules come from split_rule), and no coarse node
+        repeats: the nudged path's four eta offsets share one first
+        connection panel."""
+        lookups = []
+        inner = fracint.gauss_jacobi_rule
+
+        def counted(a_exp, b_exp, order):
+            lookups.append(b_exp)
+            return inner(a_exp, b_exp, order)
+
+        monkeypatch.setattr(fracint, "gauss_jacobi_rule", counted)
+        apply_operator(PATH_CASES[path], ONE, 1.3)
+        assert len(lookups) == panels
+        (tau_c, _), (tau_f, _) = fracint._discretize(PATH_CASES[path], 1.3, (64, 128))[0]
+        assert tau_c.size == np.unique(tau_c).size == 64 * panels
+        assert tau_f.size == 128 * panels
+
+    def test_terminating_wins_over_an_integer_gap(self, monkeypatch):
+        """a = -1 and s = 2: the 2F1 is a polynomial, so the lower half is one
+        panel, nothing is extrapolated and the estimate is not floored."""
+        params = OperatorParams(0.5, -1.2, 0.5, -0.3, 1.0, validation_mode=DEFINITION_ONLY)
+        calls = []
+        inner = fracint._series_2f1_vec
+
+        def counted(a, b, c, z):
+            calls.append((a, b, c))
+            return inner(a, b, c, z)
+
+        monkeypatch.setattr(fracint, "_series_2f1_vec", counted)
+        res = apply_operator(params, ONE, 1.3)
+        assert len(calls) == 2
+        assert fracint._discretize(params, 1.3, (64, 128))[1] is False
+        assert res.error_estimate < 1e-12 * res.value
+        assert res.value == pytest.approx(operator_of_one(params, 1.3), rel=1e-13)
 
 
 # Cross-validation against the independent extended-precision oracle.
@@ -407,7 +446,7 @@ def test_nudged_values_are_pinned():
     assert len(cases) == len(NUDGED_ORACLE_PINS)
     cases += [(NUDGED_GRID, f, 1.25, want) for f, want in NUDGED_GRID_PINS]
     for params, f, x, want in cases:
-        assert fracint._near_integer_gap(params)
+        assert len(fracint._nudge_offsets(params)) == 4
         assert apply_operator(params, f, x).value == pytest.approx(want, rel=1e-11)
 
 
