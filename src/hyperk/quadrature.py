@@ -1,22 +1,23 @@
 """Gauss-Jacobi quadrature on [0, 1] for the weight u^b_exp (1-u)^a_exp.
 
 Rules are built with the Golub-Welsch eigenvalue method: the Jacobi
-recurrence coefficients are formed as whole-array expressions and the
-symmetric tridiagonal eigenproblem gives nodes and weights.  The last 128
-rules are cached, so repeated operator evaluations with the same exponents
-share one immutable rule object.  The cache holds the operator's order-n
-Jacobi rules and the Gauss-Legendre rules of split_rule's panels alike.  A
-campaign draws fresh Jacobi exponents for every check and reuses none of
-the former, and they push the few Legendre orders that every check
-shares out of the cache: over 240 campaign checks (seed 0) the Legendre
-rules were rebuilt 114 times beside 720 fresh Jacobi rules.
+recurrence coefficients are formed as whole-array expressions and LAPACK's
+dstevd (the driver scipy.linalg.eigh_tridiagonal picks for a full
+spectrum, called directly) solves the symmetric tridiagonal eigenproblem
+for nodes and weights.  The last 128 rules are cached, so repeated
+operator evaluations with the same exponents share one immutable rule
+object.
 
 split_rule refines a Jacobi rule by splitting its interval instead of
 doubling its order (graded hp quadrature; Schwab, p- and hp-FEM, 1998):
 the order-n rule, scaled onto [0, sigma], keeps the t^b_exp singularity,
 and Legendre panels, graded toward sigma and split at given cuts, cover
-[sigma, 1] where t^b_exp is smooth.  The last 128 split rules are cached
-as well.
+[sigma, 1] where t^b_exp is smooth.  The panel layout does not depend on
+b_exp, so it is cached per (order, cuts), and its Gauss-Legendre rules
+have a cache of their own, kept for the whole process: a campaign draws
+fresh Jacobi exponents for every check, and in the shared cache they
+would evict the few Legendre orders that every check uses.  The last 128
+split rules are cached as well.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import get_lapack_funcs
 
 from .errors import DomainError, EvaluationError
 from .specfun import beta
@@ -39,6 +40,7 @@ MAX_ORDER = 256
 # Legendre panel gets this many nodes
 _SPLIT = 0.25
 _MIN_PANEL_ORDER = 8
+_stevd = get_lapack_funcs("stevd", dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -64,14 +66,18 @@ class JacobiRule:
             raise DomainError(f"JacobiRule requires order >= 1, got {self.order!r}")
         if self.nodes.shape != (self.order,) or self.weights.shape != (self.order,):
             raise DomainError("node/weight arrays must have length equal to order")
-        if not (np.all(self.nodes > 0.0) and np.all(self.nodes < 1.0)):
+        nodes, weights = self.nodes, self.weights
+        # increasing nodes lie inside (0, 1) when the end nodes do; a NaN
+        # fails a comparison wherever it sits
+        if not (nodes[0] > 0.0 and nodes[-1] < 1.0):
             raise DomainError("nodes must lie strictly inside (0, 1)")
-        if self.order > 1 and not np.all(np.diff(self.nodes) > 0.0):
+        if not (nodes[1:] > nodes[:-1]).all():
             raise DomainError("nodes must be strictly increasing")
-        if not np.all(self.weights > 0.0):
+        # min propagates a NaN, which then fails the comparison
+        if not weights.min() > 0.0:
             raise DomainError("weights must all be positive")
         moment0 = beta(self.b_exp + 1.0, self.a_exp + 1.0)
-        if abs(float(np.sum(self.weights)) - moment0) > 1e-12 * moment0:
+        if abs(float(weights.sum()) - moment0) > 1e-12 * moment0:
             raise DomainError("weight sum does not match the zeroth beta moment")
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
@@ -124,10 +130,50 @@ def gauss_jacobi_rule(a_exp: float, b_exp: float, order: int) -> JacobiRule:
     off[1:] = np.sqrt(num / den)
 
     # diag and off are finite for every a, b > -1 accepted above
-    vals, vecs = eigh_tridiagonal(diag, off, check_finite=False)
+    vals, vecs, info = _stevd(diag, off, overwrite_d=1, overwrite_e=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstevd failed with info = {info}")
     nodes = (vals + 1.0) / 2.0
     weights = moment0 * vecs[0, :] ** 2
     return JacobiRule(a, b, order, nodes, weights)
+
+
+@lru_cache(maxsize=MAX_ORDER)
+def _legendre_rule(order: int) -> JacobiRule:
+    """The order-`order` Gauss-Legendre rule on [0, 1], in a cache of its own."""
+    return gauss_jacobi_rule.__wrapped__(0.0, 0.0, order)
+
+
+@lru_cache(maxsize=128)
+def _panel_layout(
+    order: int, cuts: tuple[float, ...]
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """split_rule's sigma and its Legendre panels on [sigma, 1]: the nodes t
+    and the weights without the t^b_exp factor, both read-only."""
+    sigma = min((_SPLIT, *cuts))
+    edges = {sigma, 1.0, *cuts}
+    point = sigma
+    while point < _SPLIT:
+        point *= 2.0
+        edges.add(point)
+    edges = sorted(edges)
+    # panels whose share falls below the minimum get the minimum, and the
+    # others share what is left in proportion to their length
+    min_order = min(_MIN_PANEL_ORDER, order)
+    widths = np.diff(edges)
+    small = order * widths < min_order * (1.0 - sigma)
+    spare = order - min_order * np.count_nonzero(small)
+    share = spare * widths / (widths[~small].sum() or 1.0)
+    counts = np.where(small, min_order, np.maximum(min_order, np.round(share)))
+    nodes, weights = [], []
+    for lo, width, count in zip(edges, widths, counts.astype(int).tolist()):
+        panel = _legendre_rule(count)
+        nodes.append(lo + width * panel.nodes)
+        weights.append(width * panel.weights)
+    nodes, weights = np.concatenate(nodes), np.concatenate(weights)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return sigma, nodes, weights
 
 
 @lru_cache(maxsize=128)
@@ -146,33 +192,17 @@ def split_rule(
     whose share falls short takes the minimum out of the others' shares),
     so with no cuts the rule has exactly 2 * order nodes.  cuts is a tuple
     of points inside (0, 1), typically where the integrand's slope jumps.
+
+    The panel layout depends only on (order, cuts) and is cached apart,
+    its Legendre rules in a cache of their own, so a fresh b_exp costs the
+    Jacobi rule and one t^b_exp over the panel nodes.
     """
     if not all(0.0 < c < 1.0 for c in cuts):
         raise DomainError(f"split_rule requires cuts inside (0, 1), got {cuts!r}")
     rule = gauss_jacobi_rule(0.0, b_exp, order)
-    sigma = min((_SPLIT, *cuts))
-    edges = {sigma, 1.0, *cuts}
-    point = sigma
-    while point < _SPLIT:
-        point *= 2.0
-        edges.add(point)
-    edges = sorted(edges)
-    nodes = [sigma * rule.nodes]
-    weights = [sigma ** (b_exp + 1.0) * rule.weights]
-    # panels whose share falls below the minimum get the minimum, and the
-    # others share what is left in proportion to their length
-    min_order = min(_MIN_PANEL_ORDER, order)
-    widths = np.diff(edges)
-    small = order * widths < min_order * (1.0 - sigma)
-    spare = order - min_order * np.count_nonzero(small)
-    share = spare * widths / (widths[~small].sum() or 1.0)
-    counts = np.where(small, min_order, np.maximum(min_order, np.round(share)))
-    for lo, width, count in zip(edges, widths, counts.astype(int).tolist()):
-        panel = gauss_jacobi_rule(0.0, 0.0, count)
-        t = lo + width * panel.nodes
-        nodes.append(t)
-        weights.append(width * panel.weights * t ** b_exp)
-    nodes, weights = np.concatenate(nodes), np.concatenate(weights)
+    sigma, t, w = _panel_layout(order, cuts)
+    nodes = np.concatenate((sigma * rule.nodes, t))
+    weights = np.concatenate((sigma ** (b_exp + 1.0) * rule.weights, w * t ** b_exp))
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, fields, replace
+from functools import lru_cache
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -268,16 +269,25 @@ def instance_from_dict(d: dict) -> TestInstance:
                           for field in fields(TestInstance)))
 
 
+@lru_cache(maxsize=8)
+def _unit_sample(count: int) -> np.ndarray:
+    """sample_points(1.0, count), read-only."""
+    half = count // 2
+    lo = np.geomspace(1e-6, 0.5, half)
+    hi = 1.0 - np.geomspace(1e-6, 0.5, count - half)
+    grid = np.unique(np.concatenate([lo, hi, [1.0]]))
+    grid.setflags(write=False)
+    return grid
+
+
 def sample_points(x_max: float, count: int = _SAMPLE_COUNT) -> np.ndarray:
     """Sample of (0, x_max], geometrically dense toward both endpoints.
 
     Ratio and monotonicity violations hide at the ends, so half the points
-    crowd 0 and half crowd x_max (which is itself included).
+    crowd 0 and half crowd x_max (which is itself included).  The grid is
+    one cached unit grid scaled by x_max, a fresh array on every call.
     """
-    half = count // 2
-    lo = np.geomspace(x_max * 1e-6, x_max * 0.5, half)
-    hi = x_max - np.geomspace(x_max * 1e-6, x_max * 0.5, count - half)
-    return np.unique(np.concatenate([lo, hi, [x_max]]))
+    return x_max * _unit_sample(count)
 
 
 def _sampled(f: FunctionSpec, g: FunctionSpec, x_max: float) -> tuple[np.ndarray, np.ndarray]:

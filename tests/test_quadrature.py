@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 
 import mpmath as mp
@@ -12,7 +14,10 @@ from hyperk import (
     gauss_jacobi_rule,
     integrate,
 )
-from hyperk.quadrature import MAX_ORDER, split_rule
+from hyperk import quadrature
+from hyperk.inequalities import _suite_row
+from hyperk.quadrature import MAX_ORDER, JacobiRule, split_rule
+from hyperk.testfuncs import THEOREM_IDS
 
 EXPONENT_GRID = [-0.5, 0.0, 0.5, 1.0]
 
@@ -128,6 +133,51 @@ def test_weight_sum_matches_zeroth_moment():
         assert 0.0 < rule.nodes[0] and rule.nodes[-1] < 1.0
 
 
+def test_failed_eigensolve_raises(monkeypatch):
+    stevd = quadrature._stevd
+
+    def failing(diag, off, **kwargs):
+        vals, vecs, _ = stevd(diag, off, **kwargs)
+        return vals, vecs, 1
+
+    monkeypatch.setattr(quadrature, "_stevd", failing)
+    with pytest.raises(np.linalg.LinAlgError):
+        gauss_jacobi_rule.__wrapped__(0.0, 0.3, 16)
+
+
+def _set(array, index, value):
+    """A corruption of a rule's (nodes, weights): one entry of one array set."""
+    def corrupt(nodes, weights):
+        (nodes if array == "nodes" else weights)[index] = value
+        return nodes, weights
+    return corrupt
+
+
+def _repeat_node(nodes, weights):
+    nodes[2] = nodes[3]
+    return nodes, weights
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (_set("nodes", 0, 0.0), "inside"),
+    (_set("nodes", -1, 1.0), "inside"),
+    # a NaN node fails whichever node check meets it first
+    (_set("nodes", 3, math.nan), "inside|increasing"),
+    (_repeat_node, "increasing"),
+    (lambda n, w: (n[::-1].copy(), w), "increasing"),
+    (_set("weights", 1, 0.0), "positive"),
+    (_set("weights", 4, math.nan), "positive"),
+    (lambda n, w: (n, w * (1.0 + 1e-9)), "moment"),
+    (lambda n, w: (n[:-1], w[:-1]), "length"),
+], ids=["node-at-0", "node-at-1", "nan-node", "repeated-node", "decreasing-nodes",
+        "zero-weight", "nan-weight", "weight-sum", "shape"])
+def test_jacobi_rule_rejects_bad_arrays(corrupt, message):
+    rule = gauss_jacobi_rule(0.0, 0.5, 8)
+    assert JacobiRule(0.0, 0.5, 8, rule.nodes.copy(), rule.weights.copy()).order == 8
+    with pytest.raises(DomainError, match=message):
+        JacobiRule(0.0, 0.5, 8, *corrupt(rule.nodes.copy(), rule.weights.copy()))
+
+
 def test_rules_are_cached_and_frozen():
     rule = gauss_jacobi_rule(-0.25, 0.75, 12)
     assert gauss_jacobi_rule(-0.25, 0.75, 12) is rule
@@ -237,3 +287,52 @@ def test_split_rule_integrates_kinks_at_its_cuts(b_exp, cuts):
 def test_split_rule_rejects_cuts_outside_the_interval(cuts):
     with pytest.raises(DomainError):
         split_rule(0.0, 8, cuts)
+
+
+def _digest(pairs):
+    h = hashlib.sha256()
+    for nodes, weights in pairs:
+        h.update(nodes.tobytes())
+        h.update(weights.tobytes())
+    return h.hexdigest()
+
+
+def test_split_rule_bits_are_pinned():
+    """Every node and weight of the order-64 split rules, bit for bit."""
+    digest = _digest(split_rule(b, 64, cuts)
+                     for b, cuts in itertools.product(SPLIT_EXPONENTS, SPLIT_CUTS))
+    assert digest == "eedb7e73236a79af8a80a9968006076e494b13e3e35aee7a45dd880fd1af40ea"
+
+
+def test_jacobi_rule_bits_are_pinned():
+    rules = (gauss_jacobi_rule(a, b, n)
+             for a, b in [(0.0, 0.0), (0.0, -0.95), (-0.5, 0.5), (0.3, -0.7), (2.0, 3.0)]
+             for n in (1, 2, 3, 7, 16, 33, 64, 128))
+    digest = _digest((rule.nodes, rule.weights) for rule in rules)
+    assert digest == "8791b7c89dfc8a4d880723e27f8931c25965dabf219cee19882fdb462fccf4e6"
+
+
+def test_campaign_checks_solve_three_rules_each(monkeypatch):
+    """240 campaign checks from cold caches: each builds the order-64 Jacobi
+    rules of its three panels, and each Legendre panel order is solved
+    once, however many fresh Jacobi rules come between its uses."""
+    stevd = quadrature._stevd
+    solves = []
+
+    def counted(diag, off, **kwargs):
+        # a = b = 0 zeroes the diagonal; the campaign's Jacobi exponents
+        # are drawn floats, never 0
+        solves.append((diag.size, not diag.any()))
+        return stevd(diag, off, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_stevd", counted)
+    for cached in (quadrature.gauss_jacobi_rule, quadrature.split_rule,
+                   quadrature._panel_layout, quadrature._legendre_rule):
+        cached.cache_clear()
+    checks = [(tid, seed) for seed in range(40) for tid in THEOREM_IDS]
+    for task in checks:
+        _suite_row(64, task)
+    jacobi = [size for size, legendre in solves if not legendre]
+    legendre = [size for size, legendre in solves if legendre]
+    assert jacobi == [64] * (3 * len(checks))
+    assert legendre and len(legendre) == len(set(legendre))

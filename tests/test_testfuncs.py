@@ -38,6 +38,34 @@ def test_sample_points_cover_the_interval():
     assert np.sum(pts > 2.4) > 10
 
 
+def geomspace_sample(x_max, count=512):
+    """The sample built at x_max directly, geometric toward both ends."""
+    half = count // 2
+    lo = np.geomspace(x_max * 1e-6, x_max * 0.5, half)
+    hi = x_max - np.geomspace(x_max * 1e-6, x_max * 0.5, count - half)
+    return np.unique(np.concatenate([lo, hi, [x_max]]))
+
+
+@pytest.mark.parametrize("count", [512, 64, 7])
+@pytest.mark.parametrize("x_max", [0.37, 1.0, 2.5, 3.3, 10.0])
+def test_sample_points_scale_the_unit_grid(x_max, count):
+    pts = sample_points(x_max, count)
+    assert pts[-1] == x_max
+    assert np.all(pts[1:] > pts[:-1])
+    # geomspace rounds 10**v, |v| up to about 7 here, to a few ulp in each
+    # construction; the largest difference seen at these x_max was 13.5 ulp
+    want = geomspace_sample(x_max, count)
+    assert pts.shape == want.shape
+    assert np.all(np.abs(pts - want) <= 16 * np.finfo(float).eps * want)
+
+
+def test_sample_points_are_fresh_arrays():
+    pts = sample_points(1.0)
+    want = pts.copy()
+    pts[:] = 0.0
+    assert np.array_equal(sample_points(1.0), want)
+
+
 def test_closure_evaluates_pointwise():
     """Sums, products and powers agree with their parts to 1e-14."""
     rng = np.random.default_rng(2)
