@@ -37,8 +37,8 @@ small eta offsets (it is analytic in eta), and since that extrapolation is
 linear too, it is folded into w as well.  The offsets share the first
 connection panel, whose weight does not move with eta, and each keeps its
 own second-branch panel; the upper half has no connection coefficients and
-stays at the true eta.  So the nudged path has 6 panels and makes 9 series
-calls: 1 upper, then 2 per offset.
+stays at the true eta.  So the nudged path has 6 panels and 9 series
+terms: 1 upper, then 2 per offset.
 
 w is built at two levels.  The coarse level gives each panel its order-n
 Gauss-Jacobi rule.  The fine level refines each panel by splitting it
@@ -51,9 +51,10 @@ error of the unscaled one, the same factor that doubling the order gives,
 so only the kinks change what the fine level resolves; and no rule of
 order 2n, the costliest eigenproblem of a check, is ever built.
 operator_images builds both levels in one pass, with one 2F1 series call
-per panel over the nodes of both, and evaluates each integrand once on
-both node sets, so one discretization serves every image of a check;
-apply_operator is its one-integrand case.
+over the nodes of both for all panels together (one parameter block per
+series term), and evaluates each integrand once on both node sets, so one
+discretization serves every image of a check; apply_operator is its
+one-integrand case.
 """
 
 from __future__ import annotations
@@ -288,12 +289,14 @@ def _discretize(
     coefficients all fold into w, so each discretization depends only on
     (params, x, order, kinks) and the operator is exactly linear in f.  All
     levels are built in one pass: the prefactor and connection coefficients
-    are computed once, and each panel's 2F1 factor is one series call over
-    the nodes of every level.  The series stops element by element, and
-    past an element's own stop the further terms are below half an ulp of
-    its sum on the arguments up to 1/2 that the panels pass (the
-    terminating panel's polynomial ends in zero terms), so each level's
-    weights are bit for bit the ones it gets when built alone.
+    are computed once, every panel's nodes are built first, and then one
+    series call takes the 2F1 factors of every panel and level, one
+    parameter block per series term, each block stopping on its own.
+    Within a block the series stops element by element, and past an
+    element's own stop the further terms are below half an ulp of its sum
+    on the arguments up to 1/2 that the panels pass (the terminating
+    panel's polynomial ends in zero terms), so each level's weights are bit
+    for bit the ones it gets when built alone.
 
     The panel table, one panel per Jacobi rule, alone decides the path.
     The upper panel, free of connection coefficients, is built at the true
@@ -358,7 +361,7 @@ def _discretize(
             panels.append((False, b_lo + kp1 * sd, True,
                            [(coef * sign2, log_lo + log_c2 - sd * _LOG2, (alpha - a, alpha - bd, 1.0 + sd))]))
 
-    taus, weights = [[] for _ in orders], [[] for _ in orders]
+    built, blocks = [], []
     for upper, b_exp, in_u, terms in panels:
         terms = [term for term in terms if term[0] != 0.0]
         if not terms:
@@ -380,8 +383,18 @@ def _discretize(
             tau = tau_half * nodes
             smooth = one_minus_u ** (alpha - 1.0)
         z = u if in_u else one_minus_u
-        w = sum(coef * exp(log_scale) * rule_w * smooth * _series_2f1_vec(ca, cb, cc, z)
-                for coef, log_scale, (ca, cb, cc) in terms)
+        built.append((edges, tau, rule_w, smooth, terms))
+        blocks += [(ca, cb, cc, z) for _, _, (ca, cb, cc) in terms]
+
+    # every panel's 2F1 factors, all terms and levels, in one series pass
+    series = _series_2f1_vec(*zip(*blocks))
+    taus, weights = [[] for _ in orders], [[] for _ in orders]
+    start = 0
+    for edges, tau, rule_w, smooth, terms in built:
+        rows = series[start : start + len(terms) * tau.size].reshape(len(terms), tau.size)
+        start += rows.size
+        w = sum(coef * exp(log_scale) * rule_w * smooth * row
+                for (coef, log_scale, _), row in zip(terms, rows))
         for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
             taus[i].append(tau[lo:hi])
             weights[i].append(w[lo:hi])

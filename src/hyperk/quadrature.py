@@ -164,13 +164,12 @@ def _panel_layout(
     small = order * widths < min_order * (1.0 - sigma)
     spare = order - min_order * np.count_nonzero(small)
     share = spare * widths / (widths[~small].sum() or 1.0)
-    counts = np.where(small, min_order, np.maximum(min_order, np.round(share)))
-    nodes, weights = [], []
-    for lo, width, count in zip(edges, widths, counts.astype(int).tolist()):
-        panel = _legendre_rule(count)
-        nodes.append(lo + width * panel.nodes)
-        weights.append(width * panel.weights)
-    nodes, weights = np.concatenate(nodes), np.concatenate(weights)
+    counts = np.where(small, min_order, np.maximum(min_order, np.round(share))).astype(int)
+    panels = [_legendre_rule(count) for count in counts.tolist()]
+    # each panel's lo and width, repeated over its own rule's nodes
+    lo, width = np.repeat(edges[:-1], counts), np.repeat(widths, counts)
+    nodes = lo + width * np.concatenate([panel.nodes for panel in panels])
+    weights = width * np.concatenate([panel.weights for panel in panels])
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return sigma, nodes, weights

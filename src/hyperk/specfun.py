@@ -8,6 +8,7 @@ is pure and thread safe; no state is kept between calls.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from math import exp, fsum, log, pi, sin
 
 import numpy as np
@@ -51,7 +52,7 @@ _INTEGER_TOL = 1e-12
 
 _SERIES_CAP = 10000
 _SERIES_RTOL = 1e-16
-_SERIES_BLOCK = 64  # terms per block; the operator's z < 1/2 need about 55
+_SERIES_CHUNK = 64  # term ratios formed at a time; the operator's z < 1/2 need 45-55 terms
 
 
 def _two_prod(a: float, b: float) -> tuple[float, float]:
@@ -208,7 +209,7 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
 
     if z > 0.9 and s > 0.0 and not terminating and abs(s - round(s)) >= 1e-3:
         return _connected_2f1(a, b, c, s, 1.0 - z)
-    return float(_series_2f1_vec(a, b, c, z))
+    return float(_series_2f1_vec(a, b, c, z)[0])
 
 
 def _connected_2f1(a: float, b: float, c: float, s: float, w: float) -> float:
@@ -222,44 +223,89 @@ def _connected_2f1(a: float, b: float, c: float, s: float, w: float) -> float:
     sign2, log_c2 = gamma_ratio(c, -s, a, b)
     total = 0.0
     if sign1 != 0.0:
-        total += sign1 * exp(log_c1) * float(_series_2f1_vec(a, b, 1.0 - s, w))
+        total += sign1 * exp(log_c1) * float(_series_2f1_vec(a, b, 1.0 - s, w)[0])
     if sign2 != 0.0:
         total += sign2 * exp(log_c2 + s * log(w)) * float(
-            _series_2f1_vec(c - a, c - b, 1.0 + s, w)
+            _series_2f1_vec(c - a, c - b, 1.0 + s, w)[0]
         )
     return total
 
 
-def _series_2f1_vec(a: float, b: float, c: float, z) -> np.ndarray:
-    """Direct power series with the term-ratio recurrence, elementwise in z.
+def _series_2f1_vec(a, b, c, z) -> np.ndarray:
+    """Direct power series with the term-ratio recurrence, for one or more
+    parameter blocks in one pass.
 
-    Terms are taken _SERIES_BLOCK at a time: one cumprod down a
-    (terms x nodes) array of term ratios gives a block of terms, and one
-    cumsum down [total; terms] adds them to the running total in series
-    order.  The sum stops at the first term at which every element's term
-    is within 1e-16 of its own partial sum, so an element with a small
-    total is never cut short by a larger neighbour; raises after 10000
-    terms.  Scalar callers pass a float and take float() of the 0-d result.
+    a, b, c are floats and z an array of arguments (one block), or a, b, c
+    and z are equal-length sequences, one entry per block.  Returns one flat
+    array: every block's values, concatenated in order.
+
+    Each block's term ratios are formed as fl(r_n * z), r_n = (a+n)(b+n) /
+    ((c+n)(n+1)), _SERIES_CHUNK terms at a time, and the terms of every
+    block are summed in one sweep, one term after another over all
+    elements at once (term *= ratio; total += term), so every sum adds its
+    terms in series order.  A block stops at the first term at which every
+    one of its elements' terms is within 1e-16 of its own partial sum, so
+    an element with a small total is never cut short by a larger neighbour,
+    and a block's values do not depend on the other blocks of the call.
+    The sweep tests every element of a block only at the terms where that
+    test passes at the block's largest |z|, whose terms fall off last; the
+    terms and sums of that one element are formed ahead for the whole
+    chunk, bit for bit as the sweep forms them, so a block of one element
+    (a scalar call) needs no sweep.  Raises after 10000 terms.
     """
-    z = np.asarray(z, dtype=float)
-    flat = z.reshape(-1)
-    term = np.ones_like(flat)
-    total = np.ones_like(flat)
-    for start in range(0, _SERIES_CAP, _SERIES_BLOCK):
-        n = np.arange(start, min(start + _SERIES_BLOCK, _SERIES_CAP), dtype=float)
-        rows = np.empty((n.size + 1, flat.size))
-        rows[0] = term
-        np.multiply.outer((a + n) * (b + n) / ((c + n) * (n + 1.0)), flat, out=rows[1:])
-        np.cumprod(rows, axis=0, out=rows)  # [term; the block's terms]
-        terms = rows[1:].copy()
-        rows[0] = total
-        np.cumsum(rows, axis=0, out=rows)  # [total; the partial sums]
-        sums = rows[1:]
-        done = np.all(np.abs(terms) <= _SERIES_RTOL * np.abs(sums), axis=1)
-        if done.any():
-            return sums[np.argmax(done)].reshape(z.shape)
-        term, total = terms[-1], sums[-1]
+    if np.isscalar(a):
+        a, b, c, z = (a,), (b,), (c,), (z,)
+    z = [np.asarray(v, dtype=float).reshape(-1) for v in z]
+    hi = list(accumulate(v.size for v in z))
+    lo = [j - v.size for j, v in zip(hi, z)]
+    flat = np.concatenate(z)
+    out = np.empty_like(flat)
+    todo = np.array([v.size > 0 for v in z])
+    many = np.array([v.size > 1 for v in z])
+    if not todo.any():
+        return out
+    widest = np.array([v[np.abs(v).argmax()] if v.size else 0.0 for v in z])
+    a, b, c = np.array((a, b, c), dtype=float)[:, :, None]
+    term, total = np.ones_like(flat), np.ones_like(flat)
+    wide_term, wide_total = np.ones_like(widest), np.ones_like(widest)
+    rz = np.empty((_SERIES_CHUNK, flat.size))
+    for start in range(0, _SERIES_CAP, _SERIES_CHUNK):
+        n = np.arange(start, min(start + _SERIES_CHUNK, _SERIES_CAP), dtype=float)
+        ratios = (a + n) * (b + n) / ((c + n) * (n + 1.0))
+        wide_terms = ratios.T * widest
+        wide_terms[0] *= wide_term
+        np.multiply.accumulate(wide_terms, out=wide_terms)
+        wide_sums = wide_terms.copy()
+        wide_sums[0] += wide_total
+        np.add.accumulate(wide_sums, out=wide_sums)
+        wide_term, wide_total = wide_terms[-1], wide_sums[-1]
+        may_stop = (np.abs(wide_terms) <= _SERIES_RTOL * np.abs(wide_sums)) & todo
+        if not (todo & many).any():
+            # every open block is one element, its own largest |z|
+            for k in np.flatnonzero(may_stop.any(axis=0)):
+                out[lo[k]] = wide_sums[may_stop[:, k].argmax(), k]
+                todo[k] = False
+            if not todo.any():
+                return out
+            continue
+        for block_ratios, i, j in zip(ratios, lo, hi):
+            np.multiply.outer(block_ratios, flat[i:j], out=rz[: n.size, i:j])
+        tests = may_stop.any(axis=1).tolist()
+        for row, ratio in enumerate(rz[: n.size]):
+            term *= ratio
+            total += term
+            if not tests[row]:
+                continue
+            for k in np.flatnonzero(may_stop[row] & todo):
+                i, j = lo[k], hi[k]
+                if (np.abs(term[i:j]) <= _SERIES_RTOL * np.abs(total[i:j])).all():
+                    out[i:j] = total[i:j]
+                    todo[k] = False
+            if not todo.any():
+                return out
+            tests = (may_stop & todo).any(axis=1).tolist()
+    k = todo.argmax()
     raise ConvergenceError(
         f"2F1 series did not converge within {_SERIES_CAP} terms "
-        f"(a={a}, b={b}, c={c}, max z={np.max(z)})"
+        f"(a={a[k, 0]}, b={b[k, 0]}, c={c[k, 0]}, max z={np.max(z[k])})"
     )

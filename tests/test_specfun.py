@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath as mp
@@ -289,18 +290,18 @@ class TestSeriesBlocks:
 
     @pytest.mark.parametrize("a,b,c", [(0.5, 0.5, 1.5), (-1.3, 0.8, 2.1), (1.2, 0.4, 2.6)])
     def test_many_blocks(self, a, b, c):
-        # about 700 terms at z = 0.95, more than ten blocks
+        # about 700 terms at z = 0.95, more than ten chunks of 64 term ratios
         self.assert_matches_mpmath(a, b, c, np.linspace(0.0, 0.95, 12))
 
     @pytest.mark.parametrize("a,b", [(0.0, 0.5), (-1.0, 0.5), (-4.0, 0.5), (-70.0, -100.5)])
     def test_terminating(self, a, b):
-        # every term from n = -a on is exactly zero: within the first block,
+        # every term from n = -a on is exactly zero: within the first chunk,
         # or (a = -70) in the second; b = -100.5 keeps that polynomial's
         # terms of one sign, so its sum is well conditioned
         self.assert_matches_mpmath(a, b, 1.5, np.array([0.0, 0.2, 0.5, 0.9]))
 
     def test_matches_term_by_term_loop(self):
-        # the blocks multiply each term by ratio_n * z where the loop
+        # the series multiplies each term by ratio_n * z where the loop
         # multiplies by ratio_n, then z; the sums are added in the same
         # order, so the two agree to a few ulps of the terms' magnitudes
         # (tolerance 50 eps of their sum: cancelling terms make the total
@@ -313,6 +314,34 @@ class TestSeriesBlocks:
             got = _series_2f1_vec(a, b, c, z)
             want, size = series_loop(a, b, c, z)
             assert np.all(np.abs(got - want) <= 50 * np.finfo(float).eps * size)
+
+    def test_single_block_values_are_pinned(self):
+        # the bits of 200 seeded one-block calls, recorded from the
+        # cumprod/cumsum form of the series, and of gauss_2f1 through the
+        # connection formula: a rewrite of the summation must stop at the
+        # same term and add the terms in the same order, on z up to 0.9 as
+        # well as on the operator's z <= 1/2
+        rng = np.random.default_rng(2026_13)
+        digest = hashlib.sha256()
+        for i in range(200):
+            a, b = rng.uniform(-3.0, 3.0, 2)
+            if i % 5 == 0:
+                a = float(rng.choice([0.0, -1.0, -4.0, -70.0]))
+            c = rng.uniform(0.1, 3.0)
+            z = rng.uniform(0.0, rng.choice([0.5, 0.9]), int(rng.integers(1, 130)))
+            digest.update(_series_2f1_vec(a, b, c, z).tobytes())
+        assert digest.hexdigest() == (
+            "e36d416fc3de87b86826faed1f72f7918491271fa38eb5a9ea34953533ff9d24"
+        )
+        rng = np.random.default_rng(2026_131)
+        values = []
+        for _ in range(60):
+            a, b = rng.uniform(-3.0, 3.0, 2)
+            s = rng.integers(0, 3) + rng.uniform(0.01, 0.99)
+            values.append(gauss_2f1(a, b, a + b + s, rng.uniform(0.9, 1.0)))
+        assert hashlib.sha256(np.array(values).tobytes()).hexdigest() == (
+            "727232d5e737ec11b7ef9097c4c96b7a5dbfc5f32c8cd787991643941ee46543"
+        )
 
     def test_joint_call_returns_each_sets_own_values(self):
         # the operator builds every refinement level of a panel from one
@@ -328,3 +357,21 @@ class TestSeriesBlocks:
             both = _series_2f1_vec(a, b, c, np.concatenate((z1, z2)))
             assert np.array_equal(both[: z1.size], _series_2f1_vec(a, b, c, z1))
             assert np.array_equal(both[z1.size :], _series_2f1_vec(a, b, c, z2))
+        # and one call takes the 2F1 factors of every panel of a
+        # discretization, one parameter block per series term, with c drawn
+        # as the panels draw it (alpha, 1 - s or 1 + s for a gap s off the
+        # integers) and a terminating a now and then: every block stops on
+        # its own, so each equals itself computed alone, bit for bit
+        for _ in range(200):
+            blocks = []
+            for _ in range(int(rng.integers(2, 10))):
+                a, b = rng.uniform(-3.0, 3.0, 2)
+                s = rng.integers(-2, 3) + rng.choice([-1.0, 1.0]) * rng.uniform(2e-4, 0.5)
+                c = rng.choice([rng.uniform(0.05, 3.0), 1.0 - s, 1.0 + s])
+                z = rng.uniform(0.0, 0.5, int(rng.integers(1, 261)))
+                if rng.random() < 0.1:
+                    a, z = float(rng.choice([0.0, -1.0, -4.0])), 1.0 - z
+                blocks.append((a, b, c, z))
+            joint = _series_2f1_vec(*zip(*blocks))
+            alone = np.concatenate([_series_2f1_vec(*block) for block in blocks])
+            assert np.array_equal(joint, alone)
