@@ -291,12 +291,12 @@ def _discretize(
     levels are built in one pass: the prefactor and connection coefficients
     are computed once, every panel's nodes are built first, and then one
     series call takes the 2F1 factors of every panel and level, one
-    parameter block per series term, each block stopping on its own.
-    Within a block the series stops element by element, and past an
-    element's own stop the further terms are below half an ulp of its sum
-    on the arguments up to 1/2 that the panels pass (the terminating
-    panel's polynomial ends in zero terms), so each level's weights are bit
-    for bit the ones it gets when built alone.
+    parameter block per series term.  The call stops once, at the first
+    term where every node of every block has converged, and past a node's
+    own stop the further terms are below half an ulp of its sum on the
+    arguments up to 1/2 that the panels pass (the terminating panel's
+    polynomial ends in zero terms), so each block and level gets the
+    weights it gets when built alone, bit for bit.
 
     The panel table, one panel per Jacobi rule, alone decides the path.
     The upper panel, free of connection coefficients, is built at the true

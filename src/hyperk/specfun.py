@@ -52,7 +52,7 @@ _INTEGER_TOL = 1e-12
 
 _SERIES_CAP = 10000
 _SERIES_RTOL = 1e-16
-_SERIES_CHUNK = 64  # term ratios formed at a time; the operator's z < 1/2 need 45-55 terms
+_SERIES_CHUNK = 64  # most ratio rows formed at a time; the operator's z < 1/2 stop after 45-55 terms
 
 
 def _two_prod(a: float, b: float) -> tuple[float, float]:
@@ -240,18 +240,19 @@ def _series_2f1_vec(a, b, c, z) -> np.ndarray:
     array: every block's values, concatenated in order.
 
     Each block's term ratios are formed as fl(r_n * z), r_n = (a+n)(b+n) /
-    ((c+n)(n+1)), _SERIES_CHUNK terms at a time, and the terms of every
-    block are summed in one sweep, one term after another over all
-    elements at once (term *= ratio; total += term), so every sum adds its
-    terms in series order.  A block stops at the first term at which every
-    one of its elements' terms is within 1e-16 of its own partial sum, so
-    an element with a small total is never cut short by a larger neighbour,
-    and a block's values do not depend on the other blocks of the call.
-    The sweep tests every element of a block only at the terms where that
-    test passes at the block's largest |z|, whose terms fall off last; the
-    terms and sums of that one element are formed ahead for the whole
-    chunk, bit for bit as the sweep forms them, so a block of one element
-    (a scalar call) needs no sweep.  Raises after 10000 terms.
+    ((c+n)(n+1)), and the terms of every block are summed in one sweep, one
+    term after another over all elements at once (term *= ratio; total +=
+    term), so every sum adds its terms in series order.  The sweep stops at
+    the first term at which every element's term is within 1e-16 of its own
+    partial sum, so an element with a small total is never cut short by a
+    larger neighbour.  That can only happen at a term where the test passes
+    at every block's largest |z|, whose terms fall off last; the terms and
+    sums of those elements are formed ahead, bit for bit as the sweep forms
+    them, and each chunk of at most _SERIES_CHUNK ratio rows ends at the
+    first such term, the only one at which all elements are tested.  On
+    z <= 1/2 the terms past an element's own stop are below half an ulp of
+    its sum, so a block's values do not depend on the other blocks of the
+    call.  Raises after 10000 terms.
     """
     if np.isscalar(a):
         a, b, c, z = (a,), (b,), (c,), (z,)
@@ -259,17 +260,13 @@ def _series_2f1_vec(a, b, c, z) -> np.ndarray:
     hi = list(accumulate(v.size for v in z))
     lo = [j - v.size for j, v in zip(hi, z)]
     flat = np.concatenate(z)
-    out = np.empty_like(flat)
-    todo = np.array([v.size > 0 for v in z])
-    many = np.array([v.size > 1 for v in z])
-    if not todo.any():
-        return out
     widest = np.array([v[np.abs(v).argmax()] if v.size else 0.0 for v in z])
     a, b, c = np.array((a, b, c), dtype=float)[:, :, None]
     term, total = np.ones_like(flat), np.ones_like(flat)
     wide_term, wide_total = np.ones_like(widest), np.ones_like(widest)
     rz = np.empty((_SERIES_CHUNK, flat.size))
-    for start in range(0, _SERIES_CAP, _SERIES_CHUNK):
+    start = 0
+    while start < _SERIES_CAP:
         n = np.arange(start, min(start + _SERIES_CHUNK, _SERIES_CAP), dtype=float)
         ratios = (a + n) * (b + n) / ((c + n) * (n + 1.0))
         wide_terms = ratios.T * widest
@@ -278,33 +275,19 @@ def _series_2f1_vec(a, b, c, z) -> np.ndarray:
         wide_sums = wide_terms.copy()
         wide_sums[0] += wide_total
         np.add.accumulate(wide_sums, out=wide_sums)
-        wide_term, wide_total = wide_terms[-1], wide_sums[-1]
-        may_stop = (np.abs(wide_terms) <= _SERIES_RTOL * np.abs(wide_sums)) & todo
-        if not (todo & many).any():
-            # every open block is one element, its own largest |z|
-            for k in np.flatnonzero(may_stop.any(axis=0)):
-                out[lo[k]] = wide_sums[may_stop[:, k].argmax(), k]
-                todo[k] = False
-            if not todo.any():
-                return out
-            continue
+        may_stop = (np.abs(wide_terms) <= _SERIES_RTOL * np.abs(wide_sums)).all(axis=1)
+        rows = may_stop.argmax() + 1 if may_stop.any() else n.size
+        wide_term, wide_total = wide_terms[rows - 1], wide_sums[rows - 1]
         for block_ratios, i, j in zip(ratios, lo, hi):
-            np.multiply.outer(block_ratios, flat[i:j], out=rz[: n.size, i:j])
-        tests = may_stop.any(axis=1).tolist()
-        for row, ratio in enumerate(rz[: n.size]):
+            np.multiply.outer(block_ratios[:rows], flat[i:j], out=rz[:rows, i:j])
+        for ratio in rz[:rows]:
             term *= ratio
             total += term
-            if not tests[row]:
-                continue
-            for k in np.flatnonzero(may_stop[row] & todo):
-                i, j = lo[k], hi[k]
-                if (np.abs(term[i:j]) <= _SERIES_RTOL * np.abs(total[i:j])).all():
-                    out[i:j] = total[i:j]
-                    todo[k] = False
-            if not todo.any():
-                return out
-            tests = (may_stop & todo).any(axis=1).tolist()
-    k = todo.argmax()
+        if may_stop[rows - 1] and (np.abs(term) <= _SERIES_RTOL * np.abs(total)).all():
+            return total
+        start += rows
+    # the block of the first element still short of the stop
+    k = np.searchsorted(hi, (~(np.abs(term) <= _SERIES_RTOL * np.abs(total))).argmax(), "right")
     raise ConvergenceError(
         f"2F1 series did not converge within {_SERIES_CAP} terms "
         f"(a={a[k, 0]}, b={b[k, 0]}, c={c[k, 0]}, max z={np.max(z[k])})"

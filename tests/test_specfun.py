@@ -343,6 +343,34 @@ class TestSeriesBlocks:
             "727232d5e737ec11b7ef9097c4c96b7a5dbfc5f32c8cd787991643941ee46543"
         )
 
+    def test_one_element_values_are_pinned(self):
+        # the bits of gauss_2f1 on z in [0, 0.9], where it is the series
+        # itself, and of one-element series calls in both calling forms: a
+        # call of one element takes the same sweep and stop as any other
+        rng = np.random.default_rng(2026_14)
+        values = []
+        for i in range(100):
+            a, b = rng.uniform(-3.0, 3.0, 2)
+            if i % 5 == 0:
+                a = float(rng.choice([0.0, -1.0, -4.0, -12.0]))
+            values.append(gauss_2f1(a, b, rng.uniform(0.1, 3.0), rng.uniform(0.0, 0.9)))
+        assert hashlib.sha256(np.array(values).tobytes()).hexdigest() == (
+            "b574f796f8dc73a7c967ff05e063af78d9ffb86705922f787fd0787465be0dd5"
+        )
+        digest = hashlib.sha256()
+        for i in range(50):
+            a, b = rng.uniform(-3.0, 3.0, 2)
+            c, z = rng.uniform(0.1, 3.0), rng.uniform(0.0, 0.9)
+            if i % 2:
+                got = _series_2f1_vec(a, b, c, np.array([z]))
+            else:
+                got = _series_2f1_vec((a,), (b,), (c,), (z,))
+            assert got.shape == (1,)
+            digest.update(got.tobytes())
+        assert digest.hexdigest() == (
+            "e54ddf997e806fc7ab6cc1b7ac11d589ce53f7f12f4b47d3b26a1053c3350e18"
+        )
+
     def test_joint_call_returns_each_sets_own_values(self):
         # the operator builds every refinement level of a panel from one
         # call over all of their nodes: a neighbour that needs more terms
@@ -360,8 +388,8 @@ class TestSeriesBlocks:
         # and one call takes the 2F1 factors of every panel of a
         # discretization, one parameter block per series term, with c drawn
         # as the panels draw it (alpha, 1 - s or 1 + s for a gap s off the
-        # integers) and a terminating a now and then: every block stops on
-        # its own, so each equals itself computed alone, bit for bit
+        # integers) and a terminating a now and then: the call stops once for
+        # every block, and each equals itself computed alone, bit for bit
         for _ in range(200):
             blocks = []
             for _ in range(int(rng.integers(2, 10))):
@@ -375,3 +403,29 @@ class TestSeriesBlocks:
             joint = _series_2f1_vec(*zip(*blocks))
             alone = np.concatenate([_series_2f1_vec(*block) for block in blocks])
             assert np.array_equal(joint, alone)
+        # the call stops once for all of its blocks, so stress what that
+        # rests on: narrow blocks that stop near 10 terms beside wide ones
+        # that need about 52, c = 1 - s near 0, -1 or -2 (a gap s nudged
+        # 2e-4 to 8e-4 off an integer) and terminating a up to -12 on z in
+        # [1/2, 1]
+        for _ in range(200):
+            blocks = []
+            for _ in range(int(rng.integers(2, 10))):
+                a, b = rng.uniform(-3.0, 3.0, 2)
+                s = rng.integers(1, 4) + rng.choice([-1.0, 1.0]) * rng.uniform(2e-4, 8e-4)
+                c = rng.choice([rng.uniform(0.05, 3.0), 1.0 - s])
+                z = rng.uniform(0.0, rng.choice([0.01, 0.1, 0.5]), int(rng.integers(1, 261)))
+                if rng.random() < 0.2:
+                    a = float(rng.choice([0.0, -1.0, -4.0, -12.0]))
+                    z = rng.uniform(0.5, 1.0, z.size)
+                blocks.append((a, b, c, z))
+            joint = _series_2f1_vec(*zip(*blocks))
+            alone = np.concatenate([_series_2f1_vec(*block) for block in blocks])
+            assert np.array_equal(joint, alone)
+
+    def test_nonconvergence_names_its_block(self):
+        # the integer gap of gauss_2f1(0.7, 0.7, 0.4, 0.999) beside a block
+        # that converges: the message names the block that did not
+        with pytest.raises(ConvergenceError, match=r"a=0\.7, b=0\.7, c=0\.4, max z=0\.999"):
+            _series_2f1_vec((0.5, 0.7), (0.5, 0.7), (1.5, 0.4),
+                            (np.array([0.2, 0.4]), np.array([0.999])))
