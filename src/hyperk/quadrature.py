@@ -8,6 +8,14 @@ for nodes and weights.  The last 128 rules are cached, so repeated
 operator evaluations with the same exponents share one immutable rule
 object.
 
+dstevd is the only scipy routine the package uses.  It is bound from
+scipy's compiled f2py module scipy.linalg._flapack, found on scipy.linalg's
+search path and loaded on its own, so the scipy.linalg package is never
+imported: its __init__ pulls in numpy.f2py, numpy.ma, numpy.random and
+more, which would more than double the package's import time and add
+about 24 MB to its memory.  The fortran object is the one
+get_lapack_funcs("stevd", dtype=float64) returns, so rules keep their bits.
+
 split_rule refines a Jacobi rule by splitting its interval instead of
 doubling its order (graded hp quadrature; Schwab, p- and hp-FEM, 1998):
 the order-n rule, scaled onto [0, sigma], keeps the t^b_exp singularity,
@@ -22,13 +30,14 @@ split rules are cached as well.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .errors import DomainError, EvaluationError
 from .specfun import beta
@@ -40,7 +49,30 @@ MAX_ORDER = 256
 # Legendre panel gets this many nodes
 _SPLIT = 0.25
 _MIN_PANEL_ORDER = 8
-_stevd = get_lapack_funcs("stevd", dtype=np.float64)
+
+
+def _load_flapack(locations):
+    """scipy.linalg._flapack, found in the directories `locations` and
+    loaded without running scipy.linalg's __init__; the ordinary (slow)
+    import where they hold no such extension.
+
+    Loading puts the module in sys.modules under its full name, so a later
+    import of scipy.linalg reuses it rather than loading it again.
+    """
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", locations)
+    if spec is None:
+        from scipy.linalg import _flapack
+
+        return _flapack
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# find_spec imports the parent packages only, and top-level scipy is light
+_stevd = _load_flapack(
+    importlib.util.find_spec("scipy.linalg").submodule_search_locations
+).dstevd
 
 
 @dataclass(frozen=True)

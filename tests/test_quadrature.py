@@ -1,12 +1,16 @@
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
 
+import hyperk
 from hyperk import (
     DomainError,
     EvaluationError,
@@ -143,6 +147,58 @@ def test_failed_eigensolve_raises(monkeypatch):
     monkeypatch.setattr(quadrature, "_stevd", failing)
     with pytest.raises(np.linalg.LinAlgError):
         gauss_jacobi_rule.__wrapped__(0.0, 0.3, 16)
+
+
+IMPORT_PROBE = """
+import sys
+import hyperk, hyperk.cli
+from hyperk import AffineFn, OperatorParams, apply_operator, gauss_jacobi_rule
+gauss_jacobi_rule(0.0, 0.3, 16)
+apply_operator(OperatorParams(alpha=0.7, beta=0.1, eta=-0.3, mu=0.2, k=1.0),
+               AffineFn(1.0, 0.5), x=2.0)
+print("scipy.linalg" in sys.modules)
+"""
+
+
+def test_scipy_linalg_is_never_imported():
+    """A fresh interpreter that imports the package and the CLI, builds a
+    rule and applies the operator never loads the scipy.linalg package,
+    eagerly or on first use; dstevd comes from its compiled module alone."""
+    src = os.path.dirname(os.path.dirname(hyperk.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False"]
+
+
+@pytest.mark.parametrize("order", [16, 64, 128])
+@pytest.mark.parametrize("b_exp", [-0.95, 0.3, 3.0])
+def test_stevd_matches_get_lapack_funcs(order, b_exp):
+    """The directly loaded dstevd gives what scipy.linalg's own lookup
+    gives, bit for bit, on the operator's Jacobi matrices."""
+    reference = get_lapack_funcs("stevd", dtype=np.float64)
+    diag, off = recurrence_loop(0.0, b_exp, order)
+    got = quadrature._stevd(diag.copy(), off.copy(), overwrite_d=1, overwrite_e=1)
+    want = reference(diag.copy(), off.copy(), overwrite_d=1, overwrite_e=1)
+    assert got[2] == want[2] == 0
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+def test_flapack_falls_back_to_the_ordinary_import(tmp_path, monkeypatch):
+    """Directories without the extension give scipy.linalg._flapack as the
+    package imports it, and rules solved through it are today's, bit for bit."""
+    from scipy.linalg import _flapack
+
+    assert quadrature._load_flapack([str(tmp_path)]) is _flapack
+    cases = [(0.0, -0.95, 64), (0.0, 0.3, 16), (-0.5, 0.5, 33), (2.0, 3.0, 128)]
+    want = [gauss_jacobi_rule.__wrapped__(*case) for case in cases]
+    monkeypatch.setattr(quadrature, "_stevd", _flapack.dstevd)
+    for case, rule in zip(cases, want):
+        got = gauss_jacobi_rule.__wrapped__(*case)
+        assert np.array_equal(got.nodes, rule.nodes)
+        assert np.array_equal(got.weights, rule.weights)
 
 
 def _set(array, index, value):
