@@ -50,17 +50,19 @@ the panel's singular end the scaled rule has 4^-(1+b+lambda) times the
 error of the unscaled one, the same factor that doubling the order gives,
 so only the kinks change what the fine level resolves; and no rule of
 order 2n, the costliest eigenproblem of a check, is ever built.
-operator_images builds both levels in one pass, with one 2F1 series call
-over the nodes of both for all panels together (one parameter block per
-series term), and evaluates each integrand once on both node sets, so one
-discretization serves every image of a check; apply_operator is its
-one-integrand case.
+operator_images builds both levels in one pass and evaluates each
+integrand once on both node sets, so one discretization serves every image
+of a check; apply_operator is its one-integrand case.  What depends on the
+parameters alone is cached per OperatorParams, so a point pays only for
+its nodes, one 2F1 series call over every panel and level, and the weights.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from math import exp, log
 from typing import Callable, Iterable
@@ -267,6 +269,53 @@ def kernel_series(params: OperatorParams, x: float, tau: float, n_terms: int) ->
 # operator evaluation
 
 
+_ParamTable = namedtuple("_ParamTable", "panels extrapolated kp1 inv_kp1 half "
+                         "pre_0 pre_x lg_alpha hi_x log_kp1 alpha_log2 lo_tau lo_x")
+
+
+@lru_cache(maxsize=128)
+def _param_table(params: OperatorParams) -> _ParamTable:
+    """What _discretize needs of params at every point, built once per
+    OperatorParams.  It validates them, so invalid params raise on every
+    call and never enter the cache, and it holds scalars only.
+
+    One panel per Jacobi rule: (upper?, rule exponent on the node variable,
+    2F1 argument is u rather than 1 - u, terms); each term (coefficient,
+    log coefficient, log shift, 2F1 parameters) adds coef * exp(log scale
+    of its side + log coefficient - log shift) * 2F1 to w.
+    """
+    validate(params)
+    alpha, beta_, eta, mu, k = params.alpha, params.beta, params.eta, params.mu, params.k
+    a, b, s = alpha + beta_ + mu, -eta, eta - beta_ - mu
+    kp1 = k + 1.0
+    inv_kp1, b_lo = 1.0 / kp1, kp1 * mu + k
+    panels = [(True, alpha - 1.0, False, [(1.0, 0.0, 0.0, (a, b, alpha))])]
+    offsets = []
+    if _is_nonpositive_integer(a) or _is_nonpositive_integer(b):
+        panels.append((False, b_lo, False, [(1.0, 0.0, 0.0, (a, b, alpha))]))
+    else:
+        offsets = _nudge_offsets(params)
+        first = []
+        panels.append((False, b_lo, True, first))
+        for d, coef in offsets:
+            sd, bd = s + d, b - d
+            sign1, log_c1 = gamma_ratio(alpha, sd, alpha - a, alpha - bd)
+            sign2, log_c2 = gamma_ratio(alpha, -sd, a, bd)
+            first.append((coef * sign1, log_c1, 0.0, (a, bd, 1.0 - sd)))
+            panels.append((False, b_lo + kp1 * sd, True,
+                           [(coef * sign2, log_c2, sd * _LOG2, (alpha - a, alpha - bd, 1.0 + sd))]))
+    panels = tuple((upper, b_exp, in_u, kept) for upper, b_exp, in_u, terms in panels
+                   if (kept := tuple(term for term in terms if term[0] != 0.0)))
+    return _ParamTable(
+        panels, len(offsets) > 1, kp1, inv_kp1, 2.0 ** (-inv_kp1),
+        # the x-free parts of log_pre, log_hi and log_lo, one line each and
+        # one scalar per term, so the per-point sums keep their order
+        (mu + beta_ + 1.0) * log(kp1), kp1 * (-alpha - beta_ - 2.0 * mu), log_gamma(alpha),
+        kp1 * (mu + alpha - 1.0) + k + 1.0, log(kp1), alpha * _LOG2,
+        b_lo + 1.0, kp1 * (alpha - 1.0),
+    )
+
+
 def _discretize(
     params: OperatorParams,
     x: float,
@@ -287,11 +336,13 @@ def _discretize(
 
     Prefactors, Jacobi weights, 2F1 node factors and connection
     coefficients all fold into w, so each discretization depends only on
-    (params, x, order, kinks) and the operator is exactly linear in f.  All
-    levels are built in one pass: the prefactor and connection coefficients
-    are computed once, every panel's nodes are built first, and then one
-    series call takes the 2F1 factors of every panel and level, one
-    parameter block per series term.  The call stops once, at the first
+    (params, x, order, kinks) and the operator is exactly linear in f.
+    What depends on params alone comes from _param_table, once per
+    OperatorParams; this per-point pass adds the x terms to its
+    coefficients in the order a one-off build would, so every weight keeps
+    its bits.  Every panel's nodes at every level are built first, and
+    then one series call takes the 2F1 factors of every panel and level,
+    one parameter block per series term.  The call stops once, at the first
     term where every node of every block has converged, and past a node's
     own stop the further terms are below half an ulp of its sum on the
     arguments up to 1/2 that the panels pass (the terminating panel's
@@ -309,17 +360,10 @@ def _discretize(
     one term each; each second branch, exponent (k+1)(mu + s + offset) + k,
     keeps its own.
     """
-    alpha, beta_, eta, mu, k = params.alpha, params.beta, params.eta, params.mu, params.k
-    a = alpha + beta_ + mu
-    b = -eta
-    s = eta - beta_ - mu
-    kp1 = k + 1.0
-    inv_kp1 = 1.0 / kp1
-    log_pre = (
-        (mu + beta_ + 1.0) * log(kp1)
-        + kp1 * (-alpha - beta_ - 2.0 * mu) * log(x)
-        - log_gamma(alpha)
-    )
+    (panels, extrapolated, kp1, inv_kp1, half,
+     pre_0, pre_x, lg_alpha, hi_x, log_kp1, alpha_log2, lo_tau, lo_x) = _param_table(params)
+    lx = log(x)
+    log_pre = pre_0 + pre_x * lx - lg_alpha
 
     # upper half u in [1/2, 1]: u = 1 - v/2 exposes the weight v^(alpha-1),
     # and the 2F1 argument v/2 stays in (0, 1/2) where the series is cheap.
@@ -332,40 +376,18 @@ def _discretize(
     # second connection branch, the extra u^s are exact Jacobi weights.
     # When a or b is a non-positive integer the 2F1 is a polynomial and the
     # lower half needs no connection split.
-    tau_half = x * 2.0 ** (-inv_kp1)
+    tau_half = x * half
     cuts_hi = cuts_lo = ()
     if kinks:
         # a kink on the far side of tau_half maps outside (0, 1)
         cuts_hi = tuple(sorted(c for c in (2.0 * (1.0 - (t / x) ** kp1) for t in kinks)
                                if 0.0 < c < 1.0))
         cuts_lo = tuple(c for c in (t / tau_half for t in kinks) if 0.0 < c < 1.0)
-    b_lo = kp1 * mu + k
-    log_hi = log_pre + ((kp1 * (mu + alpha - 1.0) + k + 1.0) * log(x) - log(kp1) - alpha * _LOG2)
-    log_lo = log_pre + ((b_lo + 1.0) * log(tau_half) + kp1 * (alpha - 1.0) * log(x))
-    # one panel per Jacobi rule: (upper?, rule exponent on the node variable,
-    # 2F1 argument is u rather than 1 - u, terms); each term (coefficient,
-    # log scale, 2F1 parameters) adds coef * exp(log scale) * 2F1 to w
-    panels = [(True, alpha - 1.0, False, [(1.0, log_hi, (a, b, alpha))])]
-    offsets = []
-    if _is_nonpositive_integer(a) or _is_nonpositive_integer(b):
-        panels.append((False, b_lo, False, [(1.0, log_lo, (a, b, alpha))]))
-    else:
-        offsets = _nudge_offsets(params)
-        first = []
-        panels.append((False, b_lo, True, first))
-        for d, coef in offsets:
-            sd, bd = s + d, b - d
-            sign1, log_c1 = gamma_ratio(alpha, sd, alpha - a, alpha - bd)
-            sign2, log_c2 = gamma_ratio(alpha, -sd, a, bd)
-            first.append((coef * sign1, log_lo + log_c1, (a, bd, 1.0 - sd)))
-            panels.append((False, b_lo + kp1 * sd, True,
-                           [(coef * sign2, log_lo + log_c2 - sd * _LOG2, (alpha - a, alpha - bd, 1.0 + sd))]))
+    log_hi = log_pre + (hi_x * lx - log_kp1 - alpha_log2)
+    log_lo = log_pre + (lo_tau * log(tau_half) + lo_x * lx)
 
     built, blocks = [], []
     for upper, b_exp, in_u, terms in panels:
-        terms = [term for term in terms if term[0] != 0.0]
-        if not terms:
-            continue
         coarse = gauss_jacobi_rule(0.0, b_exp, orders[0])
         cuts = cuts_hi if upper else cuts_lo
         level_nodes, level_weights = zip((coarse.nodes, coarse.weights),
@@ -376,30 +398,32 @@ def _discretize(
             one_minus_u = 0.5 * nodes
             u = 1.0 - one_minus_u
             tau = x * u ** inv_kp1
-            smooth = u ** mu
+            smooth = u ** params.mu
         else:
             u = 0.5 * nodes ** kp1
             one_minus_u = 1.0 - u
             tau = tau_half * nodes
-            smooth = one_minus_u ** (alpha - 1.0)
+            smooth = one_minus_u ** (params.alpha - 1.0)
         z = u if in_u else one_minus_u
-        built.append((edges, tau, rule_w, smooth, terms))
-        blocks += [(ca, cb, cc, z) for _, _, (ca, cb, cc) in terms]
+        log_base = log_hi if upper else log_lo
+        built.append((edges, tau, rule_w, smooth,
+                      [(coef, log_base + log_c - shift) for coef, log_c, shift, _ in terms]))
+        blocks += [(ca, cb, cc, z) for _, _, _, (ca, cb, cc) in terms]
 
     # every panel's 2F1 factors, all terms and levels, in one series pass
     series = _series_2f1_vec(*zip(*blocks))
     taus, weights = [[] for _ in orders], [[] for _ in orders]
     start = 0
-    for edges, tau, rule_w, smooth, terms in built:
-        rows = series[start : start + len(terms) * tau.size].reshape(len(terms), tau.size)
+    for edges, tau, rule_w, smooth, scales in built:
+        rows = series[start : start + len(scales) * tau.size].reshape(len(scales), tau.size)
         start += rows.size
         w = sum(coef * exp(log_scale) * rule_w * smooth * row
-                for (coef, log_scale, _), row in zip(terms, rows))
+                for (coef, log_scale), row in zip(scales, rows))
         for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
             taus[i].append(tau[lo:hi])
             weights[i].append(w[lo:hi])
     levels = [(np.concatenate(t), np.concatenate(w)) for t, w in zip(taus, weights)]
-    return levels, len(offsets) > 1
+    return levels, extrapolated
 
 
 def _nudge_offsets(params: OperatorParams) -> list[tuple[float, float]]:
@@ -457,7 +481,7 @@ def operator_images(
     behaviour for this integrand.  A non-finite value of f raises
     EvaluationError carrying that node tau.
     """
-    validate(params)
+    _param_table(params)  # validates params, and is reused by _discretize
     _check_point(x)
     order = _check_order(order)
     fs = tuple(fs)

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence
@@ -299,6 +298,7 @@ def run_suite(
     worker = partial(_suite_row, order)
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # serial runs never load it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
     return [worker(t) for t in tasks]

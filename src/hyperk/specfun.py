@@ -181,8 +181,8 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
 
     For z in (0.9, 1) with a positive, non-integer gap s = c - a - b the
     sum is rearranged through the 1-z connection formula, which keeps the
-    number of terms small where quadrature nodes cluster.  At z = 1 the
-    Gauss summation value is returned (requires s > 0).  Accuracy degrades
+    number of terms small near z = 1.  At z = 1 the Gauss summation value
+    is returned (requires s > 0).  Accuracy degrades
     to roughly 1e-13/|s - nearest integer| in the transformed region; the
     rearrangement is skipped within 1e-3 of an integer gap.
     """

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -359,6 +360,68 @@ class TestDiscretize:
         assert fracint._discretize(params, 1.3, (64, 128))[1] is False
         assert res.error_estimate < 1e-12 * res.value
         assert res.value == pytest.approx(operator_of_one(params, 1.3), rel=1e-13)
+
+
+# the parameter table: (name, params the table is built from, equal params
+# looked up warm); the last pair differs only in the sign of zero
+TABLE_CASES = [(name, params, params) for name, params in [
+    *PATH_CASES.items(),
+    ("split-definition-only", dataclasses.replace(PATH_CASES["split"], validation_mode=DEFINITION_ONLY)),
+    ("nudged-definition-only", dataclasses.replace(PATH_CASES["nudged"], validation_mode=DEFINITION_ONLY)),
+]] + [("signed-zeros", OperatorParams(0.9, 0.0, -0.5, 0.0, 0.0), OperatorParams(0.9, -0.0, -0.5, -0.0, -0.0))]
+
+
+class TestParamTable:
+    @pytest.mark.parametrize("kinks", [(), (0.3, 0.6, 1.25)])
+    @pytest.mark.parametrize("name,first,second", TABLE_CASES, ids=[c[0] for c in TABLE_CASES])
+    def test_warm_equals_cold(self, name, first, second, kinks):
+        """A discretization at x2 from the table another point built equals
+        one at x2 from a fresh table, bit for bit, on every path; the cache
+        key treats +0.0 and -0.0 as one parameter value."""
+        assert first == second
+        fracint._param_table.cache_clear()
+        fracint._discretize(first, 0.7, (32, 64), kinks)
+        warm, warm_extrapolated = fracint._discretize(second, 1.3, (32, 64), kinks)
+        assert fracint._param_table.cache_info().misses == 1
+        fracint._param_table.cache_clear()
+        cold, cold_extrapolated = fracint._discretize(second, 1.3, (32, 64), kinks)
+        assert warm_extrapolated is cold_extrapolated is (name.startswith("nudged"))
+        for (tau_w, w_w), (tau_c, w_c) in zip(warm, cold, strict=True):
+            assert np.array_equal(tau_w, tau_c)
+            assert np.array_equal(w_w, w_c)
+
+    def test_one_build_per_parameter_set(self):
+        """A sweep of 3 points times the 7 function families over one
+        parameter set builds its table once, and the table holds scalars
+        only (no node arrays, no series rows)."""
+        fns = (AffineFn(1.2, 0.3), ExpFn(0.8, -0.4), PowerFn(1.1, 0.2),
+               TabulatedFn((0.0, 0.4, 0.9, 2.0), (1.0, 2.2, 0.7, 1.4)),
+               SumFn((AffineFn(0.5, 0.2), ExpFn(0.6, 0.3))),
+               ProductFn((ExpFn(0.9, -0.2), AffineFn(0.7, 0.1))),
+               PowFn(SumFn((AffineFn(0.5, 0.2), ExpFn(0.6, -0.3))), 2.0))
+        params = PATH_CASES["nudged"]
+        fracint._param_table.cache_clear()
+        for x in (0.5, 1.25, 2.0):
+            for f in fns:
+                apply_operator(params, f, x, order=16)
+        assert fracint._param_table.cache_info().misses == 1
+
+        def scalars(v):
+            return all(map(scalars, v)) if isinstance(v, tuple) else isinstance(v, (bool, float))
+
+        assert scalars(fracint._param_table(params))
+
+    def test_invalid_params_never_enter_the_cache(self):
+        params = OperatorParams(0.7, 0.1, 0.0, 0.2, 1.0)  # eta = 0 is outside the strict window
+        fracint._param_table.cache_clear()
+        errors = []
+        for _ in range(3):
+            with pytest.raises(ValidationError) as exc_info:
+                apply_operator(params, ONE, 1.3)
+            errors.append((str(exc_info.value), exc_info.value.violations))
+        assert errors == [(str(exc_info.value), ("eta-window",))] * 3
+        info = fracint._param_table.cache_info()
+        assert (info.misses, info.currsize) == (3, 0)
 
 
 # Cross-validation against the independent extended-precision oracle.

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import math
@@ -365,7 +366,7 @@ class TestRunSuite:
             def map(self, fn, tasks, chunksize=1):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(inequalities, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(inequalities.os, "cpu_count", lambda: cpus)
         rows = run_suite(["3.1", "4.4"], trials=trials, base_seed=3, jobs=jobs)
         assert requested == ([] if want is None else [want])

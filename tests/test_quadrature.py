@@ -160,16 +160,30 @@ print("scipy.linalg" in sys.modules)
 """
 
 
+def _run_probe(probe):
+    src = os.path.dirname(os.path.dirname(hyperk.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
 def test_scipy_linalg_is_never_imported():
     """A fresh interpreter that imports the package and the CLI, builds a
     rule and applies the operator never loads the scipy.linalg package,
     eagerly or on first use; dstevd comes from its compiled module alone."""
-    src = os.path.dirname(os.path.dirname(hyperk.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True,
-                         text=True, env={**os.environ, "PYTHONPATH": path})
+    out = _run_probe(IMPORT_PROBE)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["False"]
+
+
+def test_process_pool_is_never_imported_serially():
+    """The same fresh interpreter never loads concurrent.futures or
+    multiprocessing: run_suite imports its process pool only when it starts
+    more than one worker."""
+    probe = IMPORT_PROBE + 'print("concurrent.futures" in sys.modules, "multiprocessing" in sys.modules)\n'
+    out = _run_probe(probe)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "False", "False"]
 
 
 @pytest.mark.parametrize("order", [16, 64, 128])
