@@ -53,8 +53,9 @@ order 2n, the costliest eigenproblem of a check, is ever built.
 operator_images builds both levels in one pass and evaluates each
 integrand once on both node sets, so one discretization serves every image
 of a check; apply_operator is its one-integrand case.  What depends on the
-parameters alone is cached per OperatorParams, so a point pays only for
-its nodes, one 2F1 series call over every panel and level, and the weights.
+parameters alone is cached per OperatorParams, and a point works on one
+flat array of every panel's nodes at every level, so its number of
+whole-array steps does not grow with the number of panels or levels.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from operator import itemgetter
 from math import exp, log
 from typing import Callable, Iterable
 
@@ -321,10 +323,12 @@ def _discretize(
     x: float,
     orders: tuple[int, ...],
     kinks: tuple[float, ...] = (),
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], bool]:
-    """Nodes tau in (0, x) and weights w with I[f](x) ~ w @ f(tau), one
-    pair per entry of orders, and whether the lower half was extrapolated
-    across eta offsets.
+) -> tuple[np.ndarray, list[np.ndarray], bool]:
+    """(tau, weights, extrapolated): nodes tau in (0, x) and, per entry of
+    orders, weights w with I[f](x) ~ w @ f(tau), and whether the lower half
+    was extrapolated across eta offsets.  tau holds every level's nodes,
+    level after level: level i's are the weights[i].size after those of the
+    levels before it.
 
     The first entry n is the coarse level: each panel takes the plain
     order-n Gauss-Jacobi rule.  Every later entry m is a fine level: each
@@ -340,14 +344,20 @@ def _discretize(
     What depends on params alone comes from _param_table, once per
     OperatorParams; this per-point pass adds the x terms to its
     coefficients in the order a one-off build would, so every weight keeps
-    its bits.  Every panel's nodes at every level are built first, and
-    then one series call takes the 2F1 factors of every panel and level,
-    one parameter block per series term.  The call stops once, at the first
-    term where every node of every block has converged, and past a node's
-    own stop the further terms are below half an ulp of its sum on the
-    arguments up to 1/2 that the panels pass (the terminating panel's
-    polynomial ends in zero terms), so each block and level gets the
-    weights it gets when built alone, bit for bit.
+    its bits.
+
+    The pass works on one flat array of every panel's rules at every level,
+    the upper panel first, so a point costs a fixed number of whole-array
+    steps whatever the number of panels and levels: the node formulas on the
+    upper panel's slice and on the lower panels', one series call with one
+    parameter block per series term, and the weights as one product (each
+    block's scale, repeated, times the rule weights, the smooth factor and
+    the 2F1 values), a panel's further terms added to it in term order.  The
+    series call stops once, at the first term where every node of every
+    block has converged, and past a node's own stop the further terms are
+    below half an ulp of its sum on the arguments up to 1/2 that the panels
+    pass (the terminating panel's polynomial ends in zero terms), so each
+    block and level gets the weights it gets when built alone, bit for bit.
 
     The panel table, one panel per Jacobi rule, alone decides the path.
     The upper panel, free of connection coefficients, is built at the true
@@ -386,44 +396,47 @@ def _discretize(
     log_hi = log_pre + (hi_x * lx - log_kp1 - alpha_log2)
     log_lo = log_pre + (lo_tau * log(tau_half) + lo_x * lx)
 
-    built, blocks = [], []
-    for upper, b_exp, in_u, terms in panels:
+    rules = []
+    for upper, b_exp, _, _ in panels:
         coarse = gauss_jacobi_rule(0.0, b_exp, orders[0])
         cuts = cuts_hi if upper else cuts_lo
-        level_nodes, level_weights = zip((coarse.nodes, coarse.weights),
-                                         *(split_rule(b_exp, m // 2, cuts) for m in orders[1:]))
-        edges = [0, *accumulate(level.size for level in level_nodes)]
-        nodes, rule_w = np.concatenate(level_nodes), np.concatenate(level_weights)
-        if upper:
-            one_minus_u = 0.5 * nodes
-            u = 1.0 - one_minus_u
-            tau = x * u ** inv_kp1
-            smooth = u ** params.mu
-        else:
-            u = 0.5 * nodes ** kp1
-            one_minus_u = 1.0 - u
-            tau = tau_half * nodes
-            smooth = one_minus_u ** (params.alpha - 1.0)
-        z = u if in_u else one_minus_u
-        log_base = log_hi if upper else log_lo
-        built.append((edges, tau, rule_w, smooth,
-                      [(coef, log_base + log_c - shift) for coef, log_c, shift, _ in terms]))
-        blocks += [(ca, cb, cc, z) for _, _, _, (ca, cb, cc) in terms]
+        rules += [(coarse.nodes, coarse.weights), *(split_rule(b_exp, m // 2, cuts) for m in orders[1:])]
+    nodes, rule_w = (np.concatenate(arrays) for arrays in zip(*rules))
+    edges, levels = [0, *accumulate(rule_nodes.size for rule_nodes, _ in rules)], len(orders)
+    hi, lo = slice(0, edges[levels]), slice(edges[levels], None)
+    u, one_minus_u, smooth, tau = np.empty((4, nodes.size))
+    np.multiply(0.5, nodes[hi], out=one_minus_u[hi])
+    np.subtract(1.0, one_minus_u[hi], out=u[hi])
+    np.multiply(0.5, nodes[lo] ** kp1, out=u[lo])
+    np.subtract(1.0, u[lo], out=one_minus_u[lo])
+    tau[hi], tau[lo] = x * u[hi] ** inv_kp1, tau_half * nodes[lo]
+    smooth[hi], smooth[lo] = u[hi] ** params.mu, one_minus_u[lo] ** (params.alpha - 1.0)
 
-    # every panel's 2F1 factors, all terms and levels, in one series pass
-    series = _series_2f1_vec(*zip(*blocks))
-    taus, weights = [[] for _ in orders], [[] for _ in orders]
-    start = 0
-    for edges, tau, rule_w, smooth, scales in built:
-        rows = series[start : start + len(scales) * tau.size].reshape(len(scales), tau.size)
-        start += rows.size
-        w = sum(coef * exp(log_scale) * rule_w * smooth * row
-                for (coef, log_scale), row in zip(scales, rows))
-        for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
-            taus[i].append(tau[lo:hi])
-            weights[i].append(w[lo:hi])
-    levels = [(np.concatenate(t), np.concatenate(w)) for t, w in zip(taus, weights)]
-    return levels, extrapolated
+    # one block per series term: (later term?, its panel's nodes, scale, 2F1
+    # parameters, z), every panel's first term first, as the panels lie
+    blocks = []
+    for i, (upper, _, in_u, terms) in enumerate(panels):
+        span = slice(edges[i * levels], edges[(i + 1) * levels])
+        log_base = log_hi if upper else log_lo
+        blocks += [(j > 0, span, coef * exp(log_base + log_c - shift), *abc, (u if in_u else one_minus_u)[span])
+                   for j, (coef, log_c, shift, abc) in enumerate(terms)]
+    _, spans, scales, ca, cb, cc, zs = zip(*sorted(blocks, key=itemgetter(0)))
+    if further := spans[len(panels):]:
+        rule_w, smooth = (np.concatenate((array, *(array[span] for span in further)))
+                          for array in (rule_w, smooth))
+    w = np.repeat(scales, [z.size for z in zs])
+    w *= rule_w
+    w *= smooth
+    w *= _series_2f1_vec(ca, cb, cc, zs)
+    # each later term is added to its panel's first, in term order
+    for span, start in zip(further, accumulate((s.stop - s.start for s in further), initial=nodes.size)):
+        w[span] += w[start : start + span.stop - span.start]
+
+    # level after level, each panel's slice of it in panel order
+    order = [slice(edges[k], edges[k + 1]) for level in range(levels) for k in range(level, len(rules), levels)]
+    tau, w = (np.concatenate([array[span] for span in order]) for array in (tau, w))
+    ends = [*accumulate(span.stop - span.start for span in order)][len(panels) - 1 :: len(panels)]
+    return tau, [w[i:j] for i, j in zip([0, *ends], ends)], extrapolated
 
 
 def _nudge_offsets(params: OperatorParams) -> list[tuple[float, float]]:
@@ -486,8 +499,7 @@ def operator_images(
     order = _check_order(order)
     fs = tuple(fs)
     kinks = tuple(sorted({t for f in fs if hasattr(f, "kinks") for t in f.kinks(x)}))
-    ((tau_c, w_c), (tau_f, w_f)), extrapolated = _discretize(params, x, (order, 2 * order), kinks)
-    tau = np.concatenate((tau_c, tau_f))
+    tau, (w_c, w_f), extrapolated = _discretize(params, x, (order, 2 * order), kinks)
     results = []
     for f in fs:
         values = np.asarray(f(tau), dtype=float)
@@ -497,8 +509,8 @@ def operator_images(
         if np.any(bad):
             node = float(tau[np.argmax(bad)])
             raise EvaluationError(f"integrand is not finite at tau = {node!r}", node=node)
-        coarse = float(w_c @ values[: tau_c.size])
-        fine = float(w_f @ values[tau_c.size :])
+        coarse = float(w_c @ values[: w_c.size])
+        fine = float(w_f @ values[w_c.size :])
         estimate = abs(fine - coarse)
         if extrapolated:
             estimate = max(estimate, 1e-10 * abs(fine))

@@ -33,6 +33,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -56,8 +57,10 @@ def _load_flapack(locations):
     loaded without running scipy.linalg's __init__; the ordinary (slow)
     import where they hold no such extension.
 
-    Loading puts the module in sys.modules under its full name, so a later
-    import of scipy.linalg reuses it rather than loading it again.
+    Loading enters the extension in sys.modules with no parent package to
+    hold it, so the entry is taken out: a later import of scipy.linalg then
+    sets its _flapack attribute, from the state the interpreter kept rather
+    than by initializing the extension again, so the fortran objects match.
     """
     spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", locations)
     if spec is None:
@@ -66,6 +69,7 @@ def _load_flapack(locations):
         return _flapack
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    sys.modules.pop(spec.name, None)
     return module
 
 
@@ -191,13 +195,15 @@ def _panel_layout(
     edges = sorted(edges)
     # panels whose share falls below the minimum get the minimum, and the
     # others share what is left in proportion to their length
+    # (plain floats, but numpy's pairwise sum where the order sets the bits)
     min_order = min(_MIN_PANEL_ORDER, order)
-    widths = np.diff(edges)
-    small = order * widths < min_order * (1.0 - sigma)
-    spare = order - min_order * np.count_nonzero(small)
-    share = spare * widths / (widths[~small].sum() or 1.0)
-    counts = np.where(small, min_order, np.maximum(min_order, np.round(share))).astype(int)
-    panels = [_legendre_rule(count) for count in counts.tolist()]
+    widths = [c - a for a, c in zip(edges, edges[1:])]
+    small = [order * width < min_order * (1.0 - sigma) for width in widths]
+    spare = order - min_order * sum(small)
+    total = float(np.add.reduce([w for w, s in zip(widths, small) if not s])) or 1.0
+    counts = [min_order if s else max(min_order, round(spare * width / total))
+              for width, s in zip(widths, small)]
+    panels = [_legendre_rule(count) for count in counts]
     # each panel's lo and width, repeated over its own rule's nodes
     lo, width = np.repeat(edges[:-1], counts), np.repeat(widths, counts)
     nodes = lo + width * np.concatenate([panel.nodes for panel in panels])

@@ -236,17 +236,20 @@ def _series_2f1_vec(a, b, c, z) -> np.ndarray:
     parameter blocks in one pass.
 
     a, b, c are floats and z an array of arguments (one block), or a, b, c
-    and z are equal-length sequences, one entry per block.  Returns one flat
-    array: every block's values, concatenated in order.
+    and z are equal-length sequences, one entry per block.  Every block
+    holds at least one argument, and every argument is >= 0.  Returns one
+    flat array: every block's values, concatenated in order.
 
     Each block's term ratios are formed as fl(r_n * z), r_n = (a+n)(b+n) /
-    ((c+n)(n+1)), and the terms of every block are summed in one sweep, one
-    term after another over all elements at once (term *= ratio; total +=
-    term), so every sum adds its terms in series order.  The sweep stops at
-    the first term at which every element's term is within 1e-16 of its own
-    partial sum, so an element with a small total is never cut short by a
-    larger neighbour.  That can only happen at a term where the test passes
-    at every block's largest |z|, whose terms fall off last; the terms and
+    ((c+n)(n+1)), for every block at once: the (terms x blocks) table of
+    r_n, each column repeated over its block's elements, times the flat z.
+    The terms of every block are summed in one sweep, one term after
+    another over all elements at once (term *= ratio; total += term), so
+    every sum adds its terms in series order.  The sweep stops at the first
+    term at which every element's term is within 1e-16 of its own partial
+    sum, so an element with a small total is never cut short by a larger
+    neighbour.  That can only happen at a term where the test passes at
+    every block's largest z, whose terms fall off last; the terms and
     sums of those elements are formed ahead, bit for bit as the sweep forms
     them, and each chunk of at most _SERIES_CHUNK ratio rows ends at the
     first such term, the only one at which all elements are tested.  On
@@ -256,20 +259,18 @@ def _series_2f1_vec(a, b, c, z) -> np.ndarray:
     """
     if np.isscalar(a):
         a, b, c, z = (a,), (b,), (c,), (z,)
-    z = [np.asarray(v, dtype=float).reshape(-1) for v in z]
-    hi = list(accumulate(v.size for v in z))
-    lo = [j - v.size for j, v in zip(hi, z)]
-    flat = np.concatenate(z)
-    widest = np.array([v[np.abs(v).argmax()] if v.size else 0.0 for v in z])
-    a, b, c = np.array((a, b, c), dtype=float)[:, :, None]
-    term, total = np.ones_like(flat), np.ones_like(flat)
-    wide_term, wide_total = np.ones_like(widest), np.ones_like(widest)
-    rz = np.empty((_SERIES_CHUNK, flat.size))
+    flat = np.concatenate(z, axis=None)
+    sizes = [np.size(v) for v in z]
+    ends = list(accumulate(sizes))
+    widest = np.maximum.reduceat(flat, [0, *ends[:-1]])  # z >= 0: the largest
+    a, b, c = np.array((a, b, c), dtype=float)
+    term, total = np.ones((2, flat.size))
+    wide_term = wide_total = 1.0
     start = 0
     while start < _SERIES_CAP:
-        n = np.arange(start, min(start + _SERIES_CHUNK, _SERIES_CAP), dtype=float)
+        n = np.arange(start, min(start + _SERIES_CHUNK, _SERIES_CAP), dtype=float)[:, None]
         ratios = (a + n) * (b + n) / ((c + n) * (n + 1.0))
-        wide_terms = ratios.T * widest
+        wide_terms = ratios * widest
         wide_terms[0] *= wide_term
         np.multiply.accumulate(wide_terms, out=wide_terms)
         wide_sums = wide_terms.copy()
@@ -278,17 +279,17 @@ def _series_2f1_vec(a, b, c, z) -> np.ndarray:
         may_stop = (np.abs(wide_terms) <= _SERIES_RTOL * np.abs(wide_sums)).all(axis=1)
         rows = may_stop.argmax() + 1 if may_stop.any() else n.size
         wide_term, wide_total = wide_terms[rows - 1], wide_sums[rows - 1]
-        for block_ratios, i, j in zip(ratios, lo, hi):
-            np.multiply.outer(block_ratios[:rows], flat[i:j], out=rz[:rows, i:j])
-        for ratio in rz[:rows]:
+        rz = np.repeat(ratios[:rows], sizes, axis=1)
+        rz *= flat
+        for ratio in rz:
             term *= ratio
             total += term
         if may_stop[rows - 1] and (np.abs(term) <= _SERIES_RTOL * np.abs(total)).all():
             return total
         start += rows
     # the block of the first element still short of the stop
-    k = np.searchsorted(hi, (~(np.abs(term) <= _SERIES_RTOL * np.abs(total))).argmax(), "right")
+    k = np.searchsorted(ends, (~(np.abs(term) <= _SERIES_RTOL * np.abs(total))).argmax(), "right")
     raise ConvergenceError(
         f"2F1 series did not converge within {_SERIES_CAP} terms "
-        f"(a={a[k, 0]}, b={b[k, 0]}, c={c[k, 0]}, max z={np.max(z[k])})"
+        f"(a={a[k]}, b={b[k]}, c={c[k]}, max z={np.max(z[k])})"
     )

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -239,6 +241,17 @@ PATH_CASES = {
                                   validation_mode=DEFINITION_ONLY),
     "nudged": OperatorParams(0.9, 0.3, -0.5 + 3e-7, 0.2, 1.0),
 }
+
+
+def discretize_levels(params, x, orders, kinks=()):
+    """fracint._discretize's (tau, w) pair per level, and whether it
+    extrapolated: level i's nodes are the w_i.size entries of the flat tau
+    after those of the levels before it."""
+    tau, weights, extrapolated = fracint._discretize(params, x, orders, kinks)
+    bounds = np.cumsum([0, *(w.size for w in weights)])
+    return [(tau[i:j], w) for i, j, w in zip(bounds, bounds[1:], weights)], extrapolated
+
+
 IMAGE_FNS = (ExpFn(1.3, 0.5),
              SumFn((PowerFn(1.2, 1.7), AffineFn(0.4, 0.9))),
              TabulatedFn((0.0, 0.4, 0.9, 1.5), (1.0, 2.2, 0.7, 1.4)))
@@ -278,6 +291,30 @@ class TestOperatorImages:
         assert 0.0 < exc_info.value.node < x
 
 
+# sha256 of each level's tau bytes then w bytes, level after level, at 1.3:
+# no kinks at (16, 32) and (64, 128), then kinks (0.4, 0.9, 1.25) at both
+DISCRETIZE_DIGESTS = {
+    "split": [
+        "f7592a12398e79730742605ff475e9d204e6e104c51a2cf8edeb1df3027bd1b3",
+        "a2d56f10caa4bd88958ef1e86468419ff6197580e1acae285771539202e0f374",
+        "56b5f3ca2e38c78b5ed6257928525dcbb7ff61ab7ba8c1a1e1ae8fcc3e67fe62",
+        "1fe79053723f37f5eb3952a0e9818d8b39d08617e2a3315c84e572dbba05fef9",
+    ],
+    "terminating": [
+        "f2549b2a0f9306802898295c5562f5e3f22045a728a2722da905eac28f3dbfc4",
+        "6342cb13593b8dd242cde0f585e1ad400fcd768cde1e209dde3da671ce3a6d87",
+        "363ce806b80c8c77d2984c34c5ef150cec7b8ef5f82503e5e58df8405d888136",
+        "ccd9e0d6653fb1d985a75fce7c54bd59f850cbad6841a4491b1a140231ce7572",
+    ],
+    "nudged": [
+        "8bf782c85af90876f8af485956bfb9621de4bced9d3c31cd04f10c54aaab7cb6",
+        "054f27b3aace1974a9ddb70394a3229fd26b167392d27cb80d96eb2a5d453ce1",
+        "b5f51bae4852d3c00bcb3efd990590f12705b88184de479695674aa0483de07f",
+        "0fe1e264acf4a26461959d17229fb97034a96d2e4c09c3404929b8d5bcbbe7c0",
+    ],
+}
+
+
 class TestDiscretize:
     @pytest.mark.parametrize("path", PATH_CASES)
     def test_levels_equal_single_order_builds(self, path):
@@ -285,10 +322,10 @@ class TestDiscretize:
         kinks the fine level has twice its nodes, and its first n are the
         upper panel's order-n rule scaled onto [0, 1/4] of v = 2(1 - u)."""
         params = PATH_CASES[path]
-        levels, _ = fracint._discretize(params, 1.3, (64, 128))
+        levels, _ = discretize_levels(params, 1.3, (64, 128))
         assert len(levels) == 2
         (tau_c, w_c), (tau_f, w_f) = levels
-        tau_alone, w_alone = fracint._discretize(params, 1.3, (64,))[0][0]
+        tau_alone, w_alone = discretize_levels(params, 1.3, (64,))[0][0]
         assert np.array_equal(tau_c, tau_alone)
         assert np.array_equal(w_c, w_alone)
         assert tau_f.shape == w_f.shape == (2 * tau_c.size,)
@@ -298,11 +335,25 @@ class TestDiscretize:
     @pytest.mark.parametrize("path", PATH_CASES)
     def test_kinks_split_only_the_fine_level(self, path):
         params = PATH_CASES[path]
-        plain, _ = fracint._discretize(params, 1.3, (64, 128))
-        split, _ = fracint._discretize(params, 1.3, (64, 128), (0.4, 0.9, 1.25))
+        plain, _ = discretize_levels(params, 1.3, (64, 128))
+        split, _ = discretize_levels(params, 1.3, (64, 128), (0.4, 0.9, 1.25))
         assert np.array_equal(split[0][0], plain[0][0])
         assert np.array_equal(split[0][1], plain[0][1])
         assert not np.array_equal(split[1][0], plain[1][0])
+
+    @pytest.mark.parametrize("path", PATH_CASES)
+    def test_bits_are_pinned(self, path):
+        """Every node and weight of both levels, with and without kinks, at
+        orders (16, 32) and (64, 128), bit for bit.  The bytes are hashed:
+        == would take a weight of -0.0 for +0.0."""
+        digests = []
+        for kinks, orders in itertools.product(((), (0.4, 0.9, 1.25)), ((16, 32), (64, 128))):
+            digest = hashlib.sha256()
+            for tau, w in discretize_levels(PATH_CASES[path], 1.3, orders, kinks)[0]:
+                digest.update(tau.tobytes())
+                digest.update(w.tobytes())
+            digests.append(digest.hexdigest())
+        assert digests == DISCRETIZE_DIGESTS[path]
 
     @pytest.mark.parametrize("path,blocks", [("split", 3), ("terminating", 2), ("nudged", 9)])
     def test_one_series_call_per_discretization(self, path, blocks, monkeypatch):
@@ -339,7 +390,7 @@ class TestDiscretize:
         monkeypatch.setattr(fracint, "gauss_jacobi_rule", counted)
         apply_operator(PATH_CASES[path], ONE, 1.3)
         assert len(lookups) == panels
-        (tau_c, _), (tau_f, _) = fracint._discretize(PATH_CASES[path], 1.3, (64, 128))[0]
+        (tau_c, _), (tau_f, _) = discretize_levels(PATH_CASES[path], 1.3, (64, 128))[0]
         assert tau_c.size == np.unique(tau_c).size == 64 * panels
         assert tau_f.size == 128 * panels
 
@@ -357,7 +408,7 @@ class TestDiscretize:
         monkeypatch.setattr(fracint, "_series_2f1_vec", counted)
         res = apply_operator(params, ONE, 1.3)
         assert calls == [2]
-        assert fracint._discretize(params, 1.3, (64, 128))[1] is False
+        assert discretize_levels(params, 1.3, (64, 128))[1] is False
         assert res.error_estimate < 1e-12 * res.value
         assert res.value == pytest.approx(operator_of_one(params, 1.3), rel=1e-13)
 
@@ -381,10 +432,10 @@ class TestParamTable:
         assert first == second
         fracint._param_table.cache_clear()
         fracint._discretize(first, 0.7, (32, 64), kinks)
-        warm, warm_extrapolated = fracint._discretize(second, 1.3, (32, 64), kinks)
+        warm, warm_extrapolated = discretize_levels(second, 1.3, (32, 64), kinks)
         assert fracint._param_table.cache_info().misses == 1
         fracint._param_table.cache_clear()
-        cold, cold_extrapolated = fracint._discretize(second, 1.3, (32, 64), kinks)
+        cold, cold_extrapolated = discretize_levels(second, 1.3, (32, 64), kinks)
         assert warm_extrapolated is cold_extrapolated is (name.startswith("nudged"))
         for (tau_w, w_w), (tau_c, w_c) in zip(warm, cold, strict=True):
             assert np.array_equal(tau_w, tau_c)

@@ -176,6 +176,21 @@ def test_scipy_linalg_is_never_imported():
     assert out.stdout.split() == ["False"]
 
 
+def test_scipy_linalg_imported_later_holds_flapack():
+    """Loading the compiled module leaves no sys.modules entry without its
+    package, so a caller that imports scipy.linalg afterwards finds its
+    _flapack attribute, and the extension was not initialized again: it
+    hands out the very dstevd that the rules use."""
+    probe = IMPORT_PROBE + (
+        "import scipy.linalg\n"
+        "from hyperk import quadrature\n"
+        "print(scipy.linalg._flapack.dstevd is quadrature._stevd)\n"
+    )
+    out = _run_probe(probe)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "True"]
+
+
 def test_process_pool_is_never_imported_serially():
     """The same fresh interpreter never loads concurrent.futures or
     multiprocessing: run_suite imports its process pool only when it starts
