@@ -9,11 +9,14 @@ operator evaluations with the same exponents share one immutable rule
 object.
 
 dstevd is the only scipy routine the package uses.  It is bound from
-scipy's compiled f2py module scipy.linalg._flapack, found on scipy.linalg's
-search path and loaded on its own, so the scipy.linalg package is never
-imported: its __init__ pulls in numpy.f2py, numpy.ma, numpy.random and
-more, which would more than double the package's import time and add
-about 24 MB to its memory.  The fortran object is the one
+scipy's compiled f2py module scipy.linalg._flapack, found in scipy's and
+then scipy/linalg's directory on the path and loaded on its own, so no
+scipy package is imported at all: scipy.linalg's __init__ pulls in
+numpy.f2py, numpy.ma, numpy.random and more, which would more than double
+the package's import time and add about 24 MB to its memory, and scipy's
+own runs some 20 modules (subprocess, sysconfig, its test utilities).
+Where scipy is not on a plain path entry or the extension does not load
+alone, the ordinary import serves.  The fortran object is the one
 get_lapack_funcs("stevd", dtype=float64) returns, so rules keep their bits.
 
 split_rule refines a Jacobi rule by splitting its interval instead of
@@ -34,7 +37,7 @@ import importlib.machinery
 import importlib.util
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -52,31 +55,38 @@ _SPLIT = 0.25
 _MIN_PANEL_ORDER = 8
 
 
-def _load_flapack(locations):
-    """scipy.linalg._flapack, found in the directories `locations` and
-    loaded without running scipy.linalg's __init__; the ordinary (slow)
-    import where they hold no such extension.
+def _load_flapack(path=None):
+    """scipy.linalg._flapack, loaded on its own from the scipy directory on
+    the path entries `path` (sys.path by default), so that neither scipy's
+    __init__ nor scipy.linalg's runs; the ordinary (slow) import where that
+    fails: no scipy on a plain path entry (an editable or zipped install),
+    no such extension in it, or one that does not load alone (a build that
+    needs the library directories scipy's __init__ registers).
 
     Loading enters the extension in sys.modules with no parent package to
-    hold it, so the entry is taken out: a later import of scipy.linalg then
-    sets its _flapack attribute, from the state the interpreter kept rather
-    than by initializing the extension again, so the fortran objects match.
+    hold it, so the entry is taken out unless scipy.linalg is imported: a
+    later import of scipy.linalg then sets its _flapack attribute, from the
+    state the interpreter kept rather than by initializing the extension
+    again, so the fortran objects match.
     """
-    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", locations)
-    if spec is None:
+    try:
+        for name in ("scipy", "scipy.linalg", "scipy.linalg._flapack"):
+            spec = importlib.machinery.PathFinder.find_spec(name, path)
+            if spec is None:
+                raise ImportError(f"no {name} on a plain path entry")
+            path = spec.submodule_search_locations or []
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except (ImportError, OSError):
         from scipy.linalg import _flapack
 
         return _flapack
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules.pop(spec.name, None)
+    if "scipy.linalg" not in sys.modules:
+        sys.modules.pop(spec.name, None)
     return module
 
 
-# find_spec imports the parent packages only, and top-level scipy is light
-_stevd = _load_flapack(
-    importlib.util.find_spec("scipy.linalg").submodule_search_locations
-).dstevd
+_stevd = _load_flapack().dstevd
 
 
 @dataclass(frozen=True)
@@ -84,7 +94,9 @@ class JacobiRule:
     """Nodes and weights integrating u^b_exp (1-u)^a_exp p(u) over [0, 1].
 
     Exact (up to round-off) for polynomials p of degree <= 2*order - 1.
-    Instances are immutable and safe to share across threads.
+    Instances are immutable and safe to share across threads.  moment0,
+    the zeroth beta moment the weights must sum to, is computed here unless
+    the caller has it already.
     """
 
     a_exp: float
@@ -92,8 +104,9 @@ class JacobiRule:
     order: int
     nodes: np.ndarray
     weights: np.ndarray
+    moment0: InitVar[float | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, moment0):
         if not (math.isfinite(self.a_exp) and self.a_exp > -1.0):
             raise DomainError(f"JacobiRule requires a_exp > -1, got {self.a_exp!r}")
         if not (math.isfinite(self.b_exp) and self.b_exp > -1.0):
@@ -112,7 +125,8 @@ class JacobiRule:
         # min propagates a NaN, which then fails the comparison
         if not weights.min() > 0.0:
             raise DomainError("weights must all be positive")
-        moment0 = beta(self.b_exp + 1.0, self.a_exp + 1.0)
+        if moment0 is None:
+            moment0 = beta(self.b_exp + 1.0, self.a_exp + 1.0)
         if abs(float(weights.sum()) - moment0) > 1e-12 * moment0:
             raise DomainError("weight sum does not match the zeroth beta moment")
         self.nodes.setflags(write=False)
@@ -146,7 +160,7 @@ def gauss_jacobi_rule(a_exp: float, b_exp: float, order: int) -> JacobiRule:
 
     if order == 1:
         node = ((b - a) / (apb + 2.0) + 1.0) / 2.0
-        rule = JacobiRule(a, b, 1, np.array([node]), np.array([moment0]))
+        rule = JacobiRule(a, b, 1, np.array([node]), np.array([moment0]), moment0)
         return rule
 
     # The first entries keep their closed forms: the general ones are 0/0
@@ -155,14 +169,15 @@ def gauss_jacobi_rule(a_exp: float, b_exp: float, order: int) -> JacobiRule:
     diag = np.empty(order)
     off = np.empty(order - 1)
     diag[0] = (b - a) / (apb + 2.0)
-    diag[1:] = (b * b - a * a) / ((2.0 * j[1:] + apb) * (2.0 * j[1:] + apb + 2.0))
+    s = 2.0 * j + apb
+    diag[1:] = (b * b - a * a) / (s[1:] * (s[1:] + 2.0))
     off[0] = math.sqrt(4.0 * (a + 1.0) * (b + 1.0) / ((apb + 2.0) ** 2 * (apb + 3.0)))
-    j = j[2:]
+    j, s = j[2:], s[2:]
     num = 4.0 * j * (j + a) * (j + b) * (j + apb)
     # float_power squares with the C pow, as the scalar ** 2 of off[0]
     # does; numpy's ** 2 is x * x, which rounds differently in about one
     # entry in a thousand and would move the rules' last bits
-    den = np.float_power(2.0 * j + apb, 2) * (2.0 * j + apb + 1.0) * (2.0 * j + apb - 1.0)
+    den = np.float_power(s, 2) * (s + 1.0) * (s - 1.0)
     off[1:] = np.sqrt(num / den)
 
     # diag and off are finite for every a, b > -1 accepted above
@@ -171,7 +186,7 @@ def gauss_jacobi_rule(a_exp: float, b_exp: float, order: int) -> JacobiRule:
         raise np.linalg.LinAlgError(f"dstevd failed with info = {info}")
     nodes = (vals + 1.0) / 2.0
     weights = moment0 * vecs[0, :] ** 2
-    return JacobiRule(a, b, order, nodes, weights)
+    return JacobiRule(a, b, order, nodes, weights, moment0)
 
 
 @lru_cache(maxsize=MAX_ORDER)

@@ -55,6 +55,16 @@ def breakpoints(fs, x):
 
 def oracle_u(params, f, x, dps=30):
     """I[f](x) by high-precision quadrature on the u-substituted integral."""
+    return oracle_images(params, (f,), x, dps)[0]
+
+
+def oracle_images(params, fs, x, dps=30):
+    """[I[f](x) for f in fs], each equal bit for bit to oracle_u(params, f, x).
+
+    The integrand's f-free factors, u^mu (1-u)^(alpha-1) F(u), du/dy and the
+    node tau, are evaluated once per quadrature node y and shared by every f:
+    integrands with the same breakpoints have mp.quad visit the same nodes.
+    """
     alpha, beta_, eta, mu, k = (params.alpha, params.beta, params.eta,
                                 params.mu, params.k)
     a = alpha + beta_ + mu
@@ -90,18 +100,29 @@ def oracle_u(params, f, x, dps=30):
                 return u ** ms * mp.hyp2f1(malpha - ma, malpha - mb, malpha, 1 - u)
             return mp.hyp2f1(ma, mb, malpha, 1 - u)
 
-        def integrand(y):
-            u = y ** mP
-            du = mP * y ** (mP - 1)
-            fv = mp.mpf(float(f(float(x * u ** (1.0 / mp.mpf(kp1))))))
-            return u ** mmu * (1 - u) ** (malpha - 1) * F_factor(u) * fv * du
+        factors = {}
 
-        splits = sorted({float(((tb / x) ** kp1) ** (1.0 / P))
-                         for tb in breakpoints(f, x)})
-        pts = [mp.mpf(0)] + [mp.mpf(v) for v in splits
-                             if 1e-12 < v < 1 - 1e-12] + [mp.mpf(0.5) ** mP, mp.mpf(1)]
-        pts = sorted(set(pts))
-        val = mp.quad(integrand, pts)
+        def f_free(y):
+            if y not in factors:
+                u = y ** mP
+                factors[y] = (u ** mmu * (1 - u) ** (malpha - 1) * F_factor(u),
+                              mP * y ** (mP - 1),
+                              float(x * u ** (1.0 / mp.mpf(kp1))))
+            return factors[y]
+
+        def image(f):
+            def integrand(y):
+                kernel, du, tau = f_free(y)
+                return kernel * mp.mpf(float(f(tau))) * du
+
+            splits = sorted({float(((tb / x) ** kp1) ** (1.0 / P))
+                             for tb in breakpoints(f, x)})
+            pts = [mp.mpf(0)] + [mp.mpf(v) for v in splits
+                                 if 1e-12 < v < 1 - 1e-12] + [mp.mpf(0.5) ** mP, mp.mpf(1)]
+            pts = sorted(set(pts))
+            return mp.quad(integrand, pts)
+
+        vals = [image(f) for f in fs]
         pre = (mp.mpf(kp1) ** (mmu + mp.mpf(beta_))
                * mp.mpf(x) ** (-kp1 * (mp.mpf(beta_) + mmu)) / mp.gamma(malpha))
-        return float(pre * val)
+        return [float(pre * val) for val in vals]

@@ -32,7 +32,7 @@ from hyperk import (
 )
 from hyperk import fracint
 from hyperk.fracint import MAX_OPERATOR_ORDER
-from oracles import breakpoints, oracle_u
+from oracles import breakpoints, oracle_images, oracle_u
 
 ONE = PowerFn(1.0, 0.0)
 RL_CASE = OperatorParams(1.0, -1.0, 0.0, 0.0, 0.0, validation_mode=DEFINITION_ONLY)
@@ -522,6 +522,15 @@ def test_operator_matches_extended_precision_oracle(tag, params, f, x):
     rel = abs(res.value - want) / abs(want)
     est_rel = res.error_estimate / abs(want)
     assert rel <= max(5.0 * est_rel, 1e-8), f"{tag}: rel={rel:.3e} est={est_rel:.3e}"
+
+
+def test_oracle_images_equal_oracle_u():
+    """Sharing the oracle's f-free factors moves no bit: a kinked f, f times
+    a smooth factor (the same kinks, so the same nodes) and a smooth f."""
+    params, f, x = dict((c[0], c[1:]) for c in ORACLE_CASES)["tabulated kinks"]
+    fs = (f, ProductFn((f, AffineFn(0.8, 0.5))), AffineFn(0.8, 0.5))
+    want = [oracle_u(params, h, x, dps=15) for h in fs]
+    assert oracle_images(params, fs, x, dps=15) == want
 
 
 # apply_operator values recorded while the nudged path still extrapolated

@@ -32,7 +32,7 @@ from hyperk import fracint, inequalities
 from hyperk.errors import DomainError
 from hyperk.inequalities import _Image, _verdict
 from hyperk.testfuncs import THEOREM_IDS
-from oracles import oracle_u
+from oracles import oracle_images, oracle_u
 
 PINNED_SEEDS = {"3.1": 7, "3.2": 11, "4.1": 13, "4.2": 17, "4.3": 19, "4.4": 23}
 
@@ -205,12 +205,12 @@ def test_thm44_elementary_monotone_pair():
     inst = dataclasses.replace(base, f=PowerFn(1.0, 1.0), g=g, gamma=1.0, delta=1.0)
     rep = check_thm44(inst)
     assert rep.verdict == "pass"
-    # cross-check both sides against the independent integrator
+    # cross-check both sides against the independent integrator; f*g and g
+    # break at the same points, so their images share the oracle's nodes
     fg = ProductFn((inst.f, g))
-    lhs = (oracle_u(inst.params, fg, inst.x)
-           * operator_of_one(inst.params, inst.x))
-    rhs = (oracle_u(inst.params, inst.f, inst.x)
-           * oracle_u(inst.params, g, inst.x))
+    i_fg, i_f, i_g = oracle_images(inst.params, (fg, inst.f, g), inst.x)
+    lhs = i_fg * operator_of_one(inst.params, inst.x)
+    rhs = i_f * i_g
     assert rep.lhs == pytest.approx(lhs, rel=max(1e-8, 3.0 * rep.combined_error / lhs))
     assert rep.rhs == pytest.approx(rhs, rel=max(1e-8, 3.0 * rep.combined_error / rhs))
 

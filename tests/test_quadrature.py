@@ -1,4 +1,5 @@
 import hashlib
+import importlib.machinery
 import itertools
 import math
 import os
@@ -169,11 +170,12 @@ def _run_probe(probe):
 
 def test_scipy_linalg_is_never_imported():
     """A fresh interpreter that imports the package and the CLI, builds a
-    rule and applies the operator never loads the scipy.linalg package,
-    eagerly or on first use; dstevd comes from its compiled module alone."""
-    out = _run_probe(IMPORT_PROBE)
+    rule and applies the operator never loads the scipy.linalg package, nor
+    the top-level scipy package, eagerly or on first use; dstevd comes from
+    its compiled module alone."""
+    out = _run_probe(IMPORT_PROBE + 'print("scipy" in sys.modules)\n')
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False"]
+    assert out.stdout.split() == ["False", "False"]
 
 
 def test_scipy_linalg_imported_later_holds_flapack():
@@ -189,6 +191,20 @@ def test_scipy_linalg_imported_later_holds_flapack():
     out = _run_probe(probe)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["False", "True"]
+
+
+def test_scipy_linalg_imported_first_keeps_flapack():
+    """Where scipy.linalg was imported before the package, its _flapack
+    entry in sys.modules is its own and stays, and dstevd is its dstevd."""
+    probe = (
+        "import sys, scipy.linalg\n"
+        "from hyperk import quadrature\n"
+        'print("scipy.linalg._flapack" in sys.modules)\n'
+        "print(scipy.linalg._flapack.dstevd is quadrature._stevd)\n"
+    )
+    out = _run_probe(probe)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["True", "True"]
 
 
 def test_process_pool_is_never_imported_serially():
@@ -224,6 +240,47 @@ def test_flapack_falls_back_to_the_ordinary_import(tmp_path, monkeypatch):
     cases = [(0.0, -0.95, 64), (0.0, 0.3, 16), (-0.5, 0.5, 33), (2.0, 3.0, 128)]
     want = [gauss_jacobi_rule.__wrapped__(*case) for case in cases]
     monkeypatch.setattr(quadrature, "_stevd", _flapack.dstevd)
+    for case, rule in zip(cases, want):
+        got = gauss_jacobi_rule.__wrapped__(*case)
+        assert np.array_equal(got.nodes, rule.nodes)
+        assert np.array_equal(got.weights, rule.weights)
+
+
+
+def _scipy_on_no_plain_path_entry(tmp_path, monkeypatch):
+    """PathFinder finds no scipy on sys.path, as for an editable install."""
+    find_spec = importlib.machinery.PathFinder.find_spec
+    monkeypatch.setattr(
+        importlib.machinery.PathFinder, "find_spec",
+        lambda name, path=None, target=None:
+            None if name == "scipy" else find_spec(name, path, target))
+    return None
+
+
+def _flapack_that_does_not_load(tmp_path, monkeypatch):
+    """A path entry whose scipy/linalg holds a _flapack extension file that
+    raises ImportError when loaded, under __init__ files that must not run."""
+    linalg = tmp_path / "scipy" / "linalg"
+    linalg.mkdir(parents=True)
+    (tmp_path / "scipy" / "__init__.py").write_text("raise RuntimeError('scipy ran')\n")
+    (linalg / "__init__.py").write_text("raise RuntimeError('scipy.linalg ran')\n")
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    (linalg / f"_flapack{suffix}").write_bytes(b"not a shared object")
+    return [str(tmp_path)]
+
+
+@pytest.mark.parametrize("setup", [_scipy_on_no_plain_path_entry, _flapack_that_does_not_load])
+def test_flapack_fallback_cases(setup, tmp_path, monkeypatch):
+    """Where the standalone load finds no scipy or fails, _load_flapack gives
+    scipy.linalg._flapack as the package imports it, and rules solved
+    through it are today's, bit for bit."""
+    from scipy.linalg import _flapack
+
+    cases = [(0.0, -0.95, 64), (0.0, 0.3, 16), (-0.5, 0.5, 33), (2.0, 3.0, 128)]
+    want = [gauss_jacobi_rule.__wrapped__(*case) for case in cases]
+    flapack = quadrature._load_flapack(setup(tmp_path, monkeypatch))
+    assert flapack is _flapack
+    monkeypatch.setattr(quadrature, "_stevd", flapack.dstevd)
     for case, rule in zip(cases, want):
         got = gauss_jacobi_rule.__wrapped__(*case)
         assert np.array_equal(got.nodes, rule.nodes)
