@@ -130,7 +130,9 @@ class OperatorResult:
     ``value`` is the fine level's and ``error_estimate`` is its difference
     from the coarse level's, the plain order-n rules.  ``order_used`` is
     2n, the fine level's node count per kink-free panel; a panel split at
-    kinks has at least that many.  Near an integer gap, where the lower
+    kinks has about that many, since its pieces' proportional shares are
+    rounded: at order 64, from 2n - 1 to 2n + 24 were seen over random
+    layouts of 1-3 cuts.  Near an integer gap, where the lower
     half is extrapolated across eta offsets, the estimate is at least 1e-10
     times |value|, the extrapolation's bias allowance.
     """

@@ -2,12 +2,14 @@
 
 Covers log-gamma, the Pochhammer symbol, the Beta function and the Gauss
 hypergeometric function 2F1 for real argument z in [0, 1].  Everything here
-is pure and thread safe; no state is kept between calls.
+is pure and thread safe; the one state kept between calls is a cache of
+series plans per parameter set, which holds no per-node arrays.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import accumulate
 from math import exp, fsum, log, pi, sin
 
@@ -52,7 +54,9 @@ _INTEGER_TOL = 1e-12
 
 _SERIES_CAP = 10000
 _SERIES_RTOL = 1e-16
-_SERIES_CHUNK = 64  # most ratio rows formed at a time; the operator's z < 1/2 stop after 45-55 terms
+# most ratio rows formed at a time; the operator's z < 1/2 stop after 45-55
+# terms, so a call takes one chunk, whose plan is cached per parameter set
+_SERIES_CHUNK = 64
 
 
 def _two_prod(a: float, b: float) -> tuple[float, float]:
@@ -243,19 +247,26 @@ def _series_2f1_vec(a, b, c, z) -> np.ndarray:
     Each block's term ratios are formed as fl(r_n * z), r_n = (a+n)(b+n) /
     ((c+n)(n+1)), for every block at once: the (terms x blocks) table of
     r_n, each column repeated over its block's elements, times the flat z.
-    The terms of every block are summed in one sweep, one term after
-    another over all elements at once (term *= ratio; total += term), so
-    every sum adds its terms in series order.  The sweep stops at the first
-    term at which every element's term is within 1e-16 of its own partial
-    sum, so an element with a small total is never cut short by a larger
-    neighbour.  That can only happen at a term where the test passes at
-    every block's largest z, whose terms fall off last; the terms and
-    sums of those elements are formed ahead, bit for bit as the sweep forms
-    them, and each chunk of at most _SERIES_CHUNK ratio rows ends at the
-    first such term, the only one at which all elements are tested.  On
-    z <= 1/2 the terms past an element's own stop are below half an ulp of
-    its sum, so a block's values do not depend on the other blocks of the
-    call.  Raises after 10000 terms.
+    The sweep stops at the first term at which every element's term is
+    within 1e-16 of its own partial sum, so an element with a small total
+    is never cut short by a larger neighbour.  That can only happen at a
+    term where the test passes at every block's largest z, whose terms fall
+    off last; the terms and sums of those elements are formed ahead, bit
+    for bit as the sweep forms them, and each chunk of at most
+    _SERIES_CHUNK ratio rows ends at the first such term, the only one at
+    which all elements are tested.  The first chunk's plan (its r_n rows
+    and that lookahead) depends only on each block's (a, b, c) and largest
+    z, so it comes from _first_chunk, cached per parameter set.
+
+    A chunk's terms are one in-place product chain down its rows (each row
+    times the one before), and the sums one add.reduce down the rows,
+    which adds them in series order, one row after another, whenever a row
+    holds two or more elements; a call of one element keeps a term-by-term
+    sweep (term *= ratio; total += term), since numpy adds a single column
+    pairwise.  So every sum adds its terms in series order.  On z <= 1/2
+    the terms past an element's own stop are below half an ulp of its sum,
+    so a block's values do not depend on the other blocks of the call.
+    Raises after 10000 terms.
     """
     if np.isscalar(a):
         a, b, c, z = (a,), (b,), (c,), (z,)
@@ -263,33 +274,68 @@ def _series_2f1_vec(a, b, c, z) -> np.ndarray:
     sizes = [np.size(v) for v in z]
     ends = list(accumulate(sizes))
     widest = np.maximum.reduceat(flat, [0, *ends[:-1]])  # z >= 0: the largest
-    a, b, c = np.array((a, b, c), dtype=float)
+    ratios, may_stop, ahead = _first_chunk(tuple(a), tuple(b), tuple(c), tuple(widest.tolist()))
     term, total = np.ones((2, flat.size))
-    wide_term = wide_total = 1.0
     start = 0
-    while start < _SERIES_CAP:
-        n = np.arange(start, min(start + _SERIES_CHUNK, _SERIES_CAP), dtype=float)[:, None]
-        ratios = (a + n) * (b + n) / ((c + n) * (n + 1.0))
-        wide_terms = ratios * widest
-        wide_terms[0] *= wide_term
-        np.multiply.accumulate(wide_terms, out=wide_terms)
-        wide_sums = wide_terms.copy()
-        wide_sums[0] += wide_total
-        np.add.accumulate(wide_sums, out=wide_sums)
-        may_stop = (np.abs(wide_terms) <= _SERIES_RTOL * np.abs(wide_sums)).all(axis=1)
-        rows = may_stop.argmax() + 1 if may_stop.any() else n.size
-        wide_term, wide_total = wide_terms[rows - 1], wide_sums[rows - 1]
-        rz = np.repeat(ratios[:rows], sizes, axis=1)
+    while True:
+        rz = np.repeat(ratios, sizes, axis=1)
         rz *= flat
-        for ratio in rz:
-            term *= ratio
-            total += term
-        if may_stop[rows - 1] and (np.abs(term) <= _SERIES_RTOL * np.abs(total)).all():
+        if flat.size == 1:
+            for ratio in rz:
+                term *= ratio
+                total += term
+        else:
+            if start:
+                rz[0] *= term
+            for prev, cur in zip(rz, rz[1:]):
+                cur *= prev
+            term = rz[-1].copy()
+            rz[0] += total
+            total = np.add.reduce(rz, axis=0)
+        if may_stop and (np.abs(term) <= _SERIES_RTOL * np.abs(total)).all():
             return total
-        start += rows
+        start += ratios.shape[0]
+        if start >= _SERIES_CAP:
+            break
+        ratios, may_stop, ahead = _plan_chunk(np.array((a, b, c), dtype=float), widest, start, *ahead)
     # the block of the first element still short of the stop
     k = np.searchsorted(ends, (~(np.abs(term) <= _SERIES_RTOL * np.abs(total))).argmax(), "right")
     raise ConvergenceError(
         f"2F1 series did not converge within {_SERIES_CAP} terms "
         f"(a={a[k]}, b={b[k]}, c={c[k]}, max z={np.max(z[k])})"
     )
+
+
+def _plan_chunk(abc, widest, start, wide_term, wide_total):
+    """(r_n rows, stop candidate?, lookahead) of the chunk from term start:
+    the rows up to and including the first term at which every block's
+    largest z passes the stop test, or _SERIES_CHUNK rows (fewer at the
+    cap) if none does.  The lookahead goes on from the largest z's term and
+    partial sum before start and returns them at the chunk's last row, one
+    (2 x blocks) array; it and the (rows x blocks) r_n rows are read-only,
+    and nothing else of the lookahead is kept."""
+    n = np.arange(start, min(start + _SERIES_CHUNK, _SERIES_CAP), dtype=float)[:, None]
+    a, b, c = abc
+    ratios = (a + n) * (b + n) / ((c + n) * (n + 1.0))
+    ratios.flags.writeable = False
+    wide = np.empty((2, *ratios.shape))
+    wide_terms, wide_sums = wide
+    np.multiply(ratios, widest, out=wide_terms)
+    wide_terms[0] *= wide_term
+    np.multiply.accumulate(wide_terms, out=wide_terms)
+    wide_sums[...] = wide_terms
+    wide_sums[0] += wide_total
+    np.add.accumulate(wide_sums, out=wide_sums)
+    may_stop = (np.abs(wide_terms) <= _SERIES_RTOL * np.abs(wide_sums)).all(axis=1)
+    rows = may_stop.argmax() + 1 if may_stop.any() else n.size
+    ahead = wide[:, rows - 1].copy()
+    ahead.flags.writeable = False
+    return ratios[:rows], bool(may_stop[rows - 1]), ahead
+
+
+@lru_cache(maxsize=128)
+def _first_chunk(a, b, c, widest):
+    """_plan_chunk from term 0, for blocks (a, b, c) tuples with largest z
+    widest, kept like the rules.  +0.0 and -0.0 are one key: n starts at
+    +0.0, so a + n and b + n are the same either way."""
+    return _plan_chunk(np.array((a, b, c), dtype=float), np.array(widest), 0, 1.0, 1.0)

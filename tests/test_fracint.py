@@ -30,7 +30,7 @@ from hyperk import (
     rl_k_integral,
     validate,
 )
-from hyperk import fracint
+from hyperk import fracint, specfun
 from hyperk.fracint import MAX_OPERATOR_ORDER
 from oracles import breakpoints, oracle_images, oracle_u
 
@@ -422,6 +422,14 @@ TABLE_CASES = [(name, params, params) for name, params in [
 ]] + [("signed-zeros", OperatorParams(0.9, 0.0, -0.5, 0.0, 0.0), OperatorParams(0.9, -0.0, -0.5, -0.0, -0.0))]
 
 
+# one function of each of the 7 families; only the tabulated one has kinks
+SWEEP_FNS = (AffineFn(1.2, 0.3), ExpFn(0.8, -0.4), PowerFn(1.1, 0.2),
+             TabulatedFn((0.0, 0.4, 0.9, 2.0), (1.0, 2.2, 0.7, 1.4)),
+             SumFn((AffineFn(0.5, 0.2), ExpFn(0.6, 0.3))),
+             ProductFn((ExpFn(0.9, -0.2), AffineFn(0.7, 0.1))),
+             PowFn(SumFn((AffineFn(0.5, 0.2), ExpFn(0.6, -0.3))), 2.0))
+
+
 class TestParamTable:
     @pytest.mark.parametrize("kinks", [(), (0.3, 0.6, 1.25)])
     @pytest.mark.parametrize("name,first,second", TABLE_CASES, ids=[c[0] for c in TABLE_CASES])
@@ -445,15 +453,10 @@ class TestParamTable:
         """A sweep of 3 points times the 7 function families over one
         parameter set builds its table once, and the table holds scalars
         only (no node arrays, no series rows)."""
-        fns = (AffineFn(1.2, 0.3), ExpFn(0.8, -0.4), PowerFn(1.1, 0.2),
-               TabulatedFn((0.0, 0.4, 0.9, 2.0), (1.0, 2.2, 0.7, 1.4)),
-               SumFn((AffineFn(0.5, 0.2), ExpFn(0.6, 0.3))),
-               ProductFn((ExpFn(0.9, -0.2), AffineFn(0.7, 0.1))),
-               PowFn(SumFn((AffineFn(0.5, 0.2), ExpFn(0.6, -0.3))), 2.0))
         params = PATH_CASES["nudged"]
         fracint._param_table.cache_clear()
         for x in (0.5, 1.25, 2.0):
-            for f in fns:
+            for f in SWEEP_FNS:
                 apply_operator(params, f, x, order=16)
         assert fracint._param_table.cache_info().misses == 1
 
@@ -473,6 +476,55 @@ class TestParamTable:
         assert errors == [(str(exc_info.value), ("eta-window",))] * 3
         info = fracint._param_table.cache_info()
         assert (info.misses, info.currsize) == (3, 0)
+
+
+# the series plans: the parameter-table cases, and eta = +0.0 against -0.0,
+# which gives the terminating 2F1 parameter b = -eta both signs of zero
+PLAN_CASES = TABLE_CASES + [("signed-zero-eta",
+                             OperatorParams(0.9, 0.1, 0.0, 0.2, 1.0, validation_mode=DEFINITION_ONLY),
+                             OperatorParams(0.9, 0.1, -0.0, 0.2, 1.0, validation_mode=DEFINITION_ONLY))]
+
+
+class TestSeriesPlans:
+    @pytest.mark.parametrize("kinks", [(), (0.3, 0.6, 1.25)])
+    @pytest.mark.parametrize("name,first,second", PLAN_CASES, ids=[c[0] for c in PLAN_CASES])
+    def test_warm_plan_equals_cold(self, name, first, second, kinks):
+        """A discretization whose series plan another call built equals one
+        from a fresh plan, bit for bit, on every path.  The table is rebuilt
+        between the two calls, so the plan's own key meets +0.0 and -0.0.
+        Kink-free points share a plan; kinked ones only where their cuts do."""
+        specfun._first_chunk.cache_clear()
+        fracint._param_table.cache_clear()
+        fracint._discretize(first, 1.3 if kinks else 0.7, (32, 64), kinks)
+        fracint._param_table.cache_clear()
+        warm, _ = discretize_levels(second, 1.3, (32, 64), kinks)
+        assert specfun._first_chunk.cache_info()[:2] == (1, 1)
+        specfun._first_chunk.cache_clear()
+        fracint._param_table.cache_clear()
+        cold, _ = discretize_levels(second, 1.3, (32, 64), kinks)
+        for (tau_w, w_w), (tau_c, w_c) in zip(warm, cold, strict=True):
+            assert np.array_equal(tau_w, tau_c)
+            assert np.array_equal(w_w, w_c)
+
+    def test_one_build_per_plan(self, monkeypatch):
+        """A sweep of 3 points times the 7 function families over one
+        parameter set builds each series plan once: one for the six
+        kink-free families at every point, one per point for the tabulated
+        family, whose cuts move the fine level's largest node."""
+        keys = []
+        cached = specfun._first_chunk
+
+        def recorded(*key):
+            keys.append(key)
+            return cached(*key)
+
+        monkeypatch.setattr(specfun, "_first_chunk", recorded)
+        cached.cache_clear()
+        for x in (0.5, 1.25, 2.0):
+            for f in SWEEP_FNS:
+                apply_operator(PATH_CASES["nudged"], f, x, order=16)
+        assert len(keys) == 21
+        assert cached.cache_info()[:2] == (21 - 4, 4) == (21 - len(set(keys)), len(set(keys)))
 
 
 # Cross-validation against the independent extended-precision oracle.

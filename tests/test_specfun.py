@@ -16,6 +16,7 @@ from hyperk import (
     log_gamma,
     pochhammer,
 )
+from hyperk import specfun
 from hyperk.specfun import _series_2f1_vec, gamma_ratio
 from oracles import series_2f1
 
@@ -429,3 +430,85 @@ class TestSeriesBlocks:
         with pytest.raises(ConvergenceError, match=r"a=0\.7, b=0\.7, c=0\.4, max z=0\.999"):
             _series_2f1_vec((0.5, 0.7), (0.5, 0.7), (1.5, 0.4),
                             (np.array([0.2, 0.4]), np.array([0.999])))
+
+
+def row_sweep(a, b, c, z):
+    """The term-by-term sweep the product chain replaces: the same ratios
+    fl(r_n * z), then term *= ratio; total += term per term, stopping at the
+    first term at which every element of every block has converged."""
+    sizes = [np.size(v) for v in z]
+    flat = np.concatenate(z, axis=None)
+    a, b, c = np.array((a, b, c), dtype=float)
+    term, total = np.ones((2, flat.size))
+    for n in map(float, range(10000)):
+        ratio = np.repeat((a + n) * (b + n) / ((c + n) * (n + 1.0)), sizes)
+        ratio *= flat
+        term *= ratio
+        total += term
+        if (np.abs(term) <= 1e-16 * np.abs(total)).all():
+            return total
+    raise ConvergenceError("row_sweep")
+
+
+def random_blocks(rng, count, size):
+    """count blocks of size arguments in [0, 1/2], a terminating now and then."""
+    blocks = []
+    for _ in range(count):
+        a, b = rng.uniform(-3.0, 3.0, 2)
+        if rng.random() < 0.2:
+            a = float(rng.choice([0.0, -1.0, -4.0, -12.0]))
+        blocks.append((a, b, rng.uniform(0.05, 3.0), rng.uniform(0.0, 0.5, size)))
+    return tuple(zip(*blocks))
+
+
+class TestSeriesSweep:
+    """The product chain and row reduction against the row sweep, bit for bit."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_small_blocks_match_the_row_sweep(self, size):
+        # one column is the case numpy would add pairwise: 200 one-element
+        # calls tell a row reduction from the sweep
+        rng = np.random.default_rng(2026_19 + size)
+        for _ in range(200):
+            a, b, c, z = random_blocks(rng, 1, size)
+            assert np.array_equal(_series_2f1_vec(a, b, c, z), row_sweep(a, b, c, z))
+            assert np.array_equal(_series_2f1_vec(a[0], b[0], c[0], z[0]), row_sweep(a, b, c, z))
+        for _ in range(50):
+            blocks = random_blocks(rng, int(rng.integers(2, 4)), size)
+            assert np.array_equal(_series_2f1_vec(*blocks), row_sweep(*blocks))
+
+    @pytest.mark.parametrize("count", [3, 2, 9])
+    def test_operator_shapes_match_the_row_sweep(self, count):
+        # 3 blocks split, 2 terminating, 9 nudged, each of the 48 nodes of
+        # an order-16 discretization's two levels or the 192 of order 64
+        rng = np.random.default_rng(2026_190 + count)
+        for size in (48, 192):
+            for _ in range(20):
+                blocks = random_blocks(rng, count, size)
+                assert np.array_equal(_series_2f1_vec(*blocks), row_sweep(*blocks))
+
+    def test_plans_are_read_only_and_per_block(self):
+        # a cached plan is shared by every later call on its parameter set:
+        # its rows cannot be written, and it holds one column per block,
+        # never an array per argument
+        specfun._first_chunk.cache_clear()
+        a, b, c, z = random_blocks(np.random.default_rng(2026_191), 3, 192)
+        _series_2f1_vec(a, b, c, z)
+        assert specfun._first_chunk.cache_info().currsize == 1
+        ratios, _, ahead = specfun._first_chunk(a, b, c, tuple(float(np.max(v)) for v in z))
+        assert specfun._first_chunk.cache_info().hits == 1
+        assert not (ratios.flags.writeable or ahead.flags.writeable)
+        assert ratios.shape[1] == 3 and ahead.shape == (2, 3)
+
+    def test_warm_plan_equals_cold(self):
+        # a plan built by one call serves the next on equal parameters,
+        # +0.0 and -0.0 as one key, and gives what a fresh plan gives
+        rng = np.random.default_rng(2026_192)
+        for a, b in [(0.0, -0.0), (-0.0, 0.0), (-0.0, 1.5), (-2.0, -0.0), (0.7, 0.3)]:
+            z = rng.uniform(0.0, 0.5, 40)
+            specfun._first_chunk.cache_clear()
+            _series_2f1_vec(a + 0.0, b + 0.0, 1.3, z[::-1])  # -0.0 + 0.0 is +0.0
+            warm = _series_2f1_vec(a, b, 1.3, z)
+            assert specfun._first_chunk.cache_info()[:2] == (1, 1)
+            specfun._first_chunk.cache_clear()
+            assert np.array_equal(warm, _series_2f1_vec(a, b, 1.3, z))
