@@ -74,9 +74,9 @@ import numpy as np
 from .errors import DomainError, EvaluationError, ValidationError
 from .quadrature import MAX_ORDER, gauss_jacobi_rule, integrate, split_rule
 from .specfun import (
+    _gamma_ratio_from,
     _is_nonpositive_integer,
     _series_2f1_vec,
-    gamma_ratio,
     gauss_2f1,
     log_gamma,
 )
@@ -286,13 +286,16 @@ def _param_table(params: OperatorParams) -> _ParamTable:
     One panel per Jacobi rule: (upper?, rule exponent on the node variable,
     2F1 argument is u rather than 1 - u, terms); each term (coefficient,
     log coefficient, log shift, 2F1 parameters) adds coef * exp(log scale
-    of its side + log coefficient - log shift) * 2F1 to w.
+    of its side + log coefficient - log shift) * 2F1 to w.  log Gamma(alpha)
+    is evaluated once: the prefactor and both connection coefficients of
+    every offset take it, the latter through gamma_ratio's own sum.
     """
     validate(params)
     alpha, beta_, eta, mu, k = params.alpha, params.beta, params.eta, params.mu, params.k
     a, b, s = alpha + beta_ + mu, -eta, eta - beta_ - mu
     kp1 = k + 1.0
     inv_kp1, b_lo = 1.0 / kp1, kp1 * mu + k
+    lg_alpha = log_gamma(alpha)  # alpha > 0: Gamma(alpha) has sign +1
     panels = [(True, alpha - 1.0, False, [(1.0, 0.0, 0.0, (a, b, alpha))])]
     offsets = []
     if _is_nonpositive_integer(a) or _is_nonpositive_integer(b):
@@ -303,8 +306,8 @@ def _param_table(params: OperatorParams) -> _ParamTable:
         panels.append((False, b_lo, True, first))
         for d, coef in offsets:
             sd, bd = s + d, b - d
-            sign1, log_c1 = gamma_ratio(alpha, sd, alpha - a, alpha - bd)
-            sign2, log_c2 = gamma_ratio(alpha, -sd, a, bd)
+            sign1, log_c1 = _gamma_ratio_from(lg_alpha, 1.0, sd, alpha - a, alpha - bd)
+            sign2, log_c2 = _gamma_ratio_from(lg_alpha, 1.0, -sd, a, bd)
             first.append((coef * sign1, log_c1, 0.0, (a, bd, 1.0 - sd)))
             panels.append((False, b_lo + kp1 * sd, True,
                            [(coef * sign2, log_c2, sd * _LOG2, (alpha - a, alpha - bd, 1.0 + sd))]))
@@ -314,7 +317,7 @@ def _param_table(params: OperatorParams) -> _ParamTable:
         panels, len(offsets) > 1, kp1, inv_kp1, 2.0 ** (-inv_kp1),
         # the x-free parts of log_pre, log_hi and log_lo, one line each and
         # one scalar per term, so the per-point sums keep their order
-        (mu + beta_ + 1.0) * log(kp1), kp1 * (-alpha - beta_ - 2.0 * mu), log_gamma(alpha),
+        (mu + beta_ + 1.0) * log(kp1), kp1 * (-alpha - beta_ - 2.0 * mu), lg_alpha,
         kp1 * (mu + alpha - 1.0) + k + 1.0, log(kp1), alpha * _LOG2,
         b_lo + 1.0, kp1 * (alpha - 1.0),
     )

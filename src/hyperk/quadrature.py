@@ -139,7 +139,10 @@ def gauss_jacobi_rule(a_exp: float, b_exp: float, order: int) -> JacobiRule:
 
     The symmetric tridiagonal eigenproblem of the three-term recurrence
     yields the nodes as eigenvalues; the weights follow from the first
-    eigenvector components scaled by the zeroth moment.
+    eigenvector components scaled by the zeroth moment.  The recurrence's
+    exponent-free columns (j, 2j, 4j) come from a read-only cache per
+    order, so a fresh exponent pays for the dstevd solve, its own
+    whole-array terms and JacobiRule's checks.
     """
     if not (math.isfinite(a_exp) and a_exp > -1.0):
         raise DomainError(f"gauss_jacobi_rule requires a_exp > -1, got {a_exp!r}")
@@ -164,29 +167,49 @@ def gauss_jacobi_rule(a_exp: float, b_exp: float, order: int) -> JacobiRule:
         return rule
 
     # The first entries keep their closed forms: the general ones are 0/0
-    # at a + b = 0 (diagonal) and at a + b = -1 (off-diagonal).
-    j = np.arange(order, dtype=float)
+    # at a + b = 0 (diagonal) and at a + b = -1 (off-diagonal).  Products
+    # are formed in place, left to right, as the plain expressions would.
+    j, two_j, four_j = _recurrence_steps(order)
     diag = np.empty(order)
     off = np.empty(order - 1)
     diag[0] = (b - a) / (apb + 2.0)
-    s = 2.0 * j + apb
-    diag[1:] = (b * b - a * a) / (s[1:] * (s[1:] + 2.0))
+    s = two_j + apb
+    np.divide(b * b - a * a, s[1:] * (s[1:] + 2.0), out=diag[1:])
     off[0] = math.sqrt(4.0 * (a + 1.0) * (b + 1.0) / ((apb + 2.0) ** 2 * (apb + 3.0)))
     j, s = j[2:], s[2:]
-    num = 4.0 * j * (j + a) * (j + b) * (j + apb)
+    num = four_j * (j + a)
+    num *= j + b
+    num *= j + apb
     # float_power squares with the C pow, as the scalar ** 2 of off[0]
     # does; numpy's ** 2 is x * x, which rounds differently in about one
     # entry in a thousand and would move the rules' last bits
-    den = np.float_power(s, 2) * (s + 1.0) * (s - 1.0)
-    off[1:] = np.sqrt(num / den)
+    den = np.float_power(s, 2)
+    den *= s + 1.0
+    den *= s - 1.0
+    num /= den
+    np.sqrt(num, out=off[1:])
 
     # diag and off are finite for every a, b > -1 accepted above
-    vals, vecs, info = _stevd(diag, off, overwrite_d=1, overwrite_e=1)
+    nodes, vecs, info = _stevd(diag, off, overwrite_d=1, overwrite_e=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"dstevd failed with info = {info}")
-    nodes = (vals + 1.0) / 2.0
-    weights = moment0 * vecs[0, :] ** 2
+    # the eigenvalues, mapped onto [0, 1] in place
+    nodes += 1.0
+    nodes /= 2.0
+    weights = vecs[0, :] ** 2
+    weights *= moment0
     return JacobiRule(a, b, order, nodes, weights, moment0)
+
+
+@lru_cache(maxsize=MAX_ORDER)
+def _recurrence_steps(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exponent-free parts of the order-`order` recurrence, read-only:
+    j = 0, ..., order - 1, then 2j, and 4j from j = 2 on."""
+    j = np.arange(order, dtype=float)
+    steps = (j, 2.0 * j, 4.0 * j[2:])
+    for step in steps:
+        step.setflags(write=False)
+    return steps
 
 
 @lru_cache(maxsize=MAX_ORDER)
@@ -219,8 +242,9 @@ def _panel_layout(
     counts = [min_order if s else max(min_order, round(spare * width / total))
               for width, s in zip(widths, small)]
     panels = [_legendre_rule(count) for count in counts]
-    # each panel's lo and width, repeated over its own rule's nodes
-    lo, width = np.repeat(edges[:-1], counts), np.repeat(widths, counts)
+    # each panel's lo and width, repeated over its own rule's nodes (one
+    # array of both rows: numpy converts a Python list once, not twice)
+    lo, width = np.repeat(np.array((edges[:-1], widths)), counts, axis=1)
     nodes = lo + width * np.concatenate([panel.nodes for panel in panels])
     weights = width * np.concatenate([panel.weights for panel in panels])
     nodes.setflags(write=False)

@@ -47,6 +47,8 @@ _LANCZOS_C = (
     -0.26190838401581408670e-4,
     0.36899182659531622704e-5,
 )
+# (i, c_i) for i >= 1, i as a float: z + i is the same sum either way
+_LANCZOS_TERMS = tuple((float(i), c) for i, c in enumerate(_LANCZOS_C) if i)
 _HALF_LOG_2PI = 0.91893853320467274178
 # how close to a non-positive integer counts as a Gamma pole or a
 # terminating 2F1 parameter
@@ -57,6 +59,10 @@ _SERIES_RTOL = 1e-16
 # most ratio rows formed at a time; the operator's z < 1/2 stop after 45-55
 # terms, so a call takes one chunk, whose plan is cached per parameter set
 _SERIES_CHUNK = 64
+# the term indices 0, ..., _SERIES_CAP, whose slices are every chunk's n
+# and n + 1 columns
+_TERM_INDEX = np.arange(_SERIES_CAP + 1.0)
+_TERM_INDEX.flags.writeable = False
 
 
 def _two_prod(a: float, b: float) -> tuple[float, float]:
@@ -105,8 +111,8 @@ def _log_gamma_unchecked(x: float) -> float:
         return log(pi / sin(pi * x)) - _log_gamma_unchecked(1.0 - x)
     z = x - 1.0
     acc = _LANCZOS_C[0]
-    for i in range(1, 15):
-        acc += _LANCZOS_C[i] / (z + i)
+    for i, c in _LANCZOS_TERMS:
+        acc += c / (z + i)
     t = z + _LANCZOS_G + 0.5
     lhi, llo = _log_dd(t)
     p, pe = _two_prod(z + 0.5, lhi)
@@ -156,7 +162,12 @@ def gamma_ratio(p: float, q: float, r: float, t: float) -> tuple[float, float]:
     A pole of Gamma at r or t gives sign 0.0.  The reciprocal factors are
     summed first, so the result is exact under r <-> t (a <-> b).
     """
-    lg_p, s_p = _signed_log_gamma(p)
+    return _gamma_ratio_from(*_signed_log_gamma(p), q, r, t)
+
+
+def _gamma_ratio_from(lg_p: float, s_p: float, q: float, r: float, t: float) -> tuple[float, float]:
+    """gamma_ratio(p, q, r, t) given (log |Gamma(p)|, its sign), for a
+    caller that has them already."""
     lg_q, s_q = _signed_log_gamma(q)
     lr_r, s_r = _signed_log_rgamma(r)
     lr_t, s_t = _signed_log_rgamma(t)
@@ -313,10 +324,13 @@ def _plan_chunk(abc, widest, start, wide_term, wide_total):
     cap) if none does.  The lookahead goes on from the largest z's term and
     partial sum before start and returns them at the chunk's last row, one
     (2 x blocks) array; it and the (rows x blocks) r_n rows are read-only,
-    and nothing else of the lookahead is kept."""
-    n = np.arange(start, min(start + _SERIES_CHUNK, _SERIES_CAP), dtype=float)[:, None]
+    and nothing else of the lookahead is kept.  The n and n + 1 columns
+    are views of one read-only row of term indices, so a plan (a miss of
+    _first_chunk for each fresh parameter set) forms neither."""
+    stop = min(start + _SERIES_CHUNK, _SERIES_CAP)
+    n, n_plus_1 = _TERM_INDEX[start:stop, None], _TERM_INDEX[start + 1:stop + 1, None]
     a, b, c = abc
-    ratios = (a + n) * (b + n) / ((c + n) * (n + 1.0))
+    ratios = (a + n) * (b + n) / ((c + n) * n_plus_1)
     ratios.flags.writeable = False
     wide = np.empty((2, *ratios.shape))
     wide_terms, wide_sums = wide

@@ -295,7 +295,8 @@ def _sampled(f: FunctionSpec, g: FunctionSpec, x_max: float) -> tuple[np.ndarray
     pts = sample_points(x_max)
     fv, gv = f(pts), g(pts)
     for label, vals in (("f", fv), ("g", gv)):
-        if not np.all(np.isfinite(vals)) or np.min(vals) <= 0.0:
+        # a NaN makes min NaN, which fails the comparison; +inf is the max
+        if not (vals.min() > 0.0 and vals.max() < math.inf):
             raise ConstructionError(f"{label} is not positive and finite on (0, {x_max}]")
     return fv, gv
 
@@ -304,16 +305,18 @@ def _check_sandwich(ratio: np.ndarray, m: float, M: float) -> None:
     # generated f/g differs from the drawn ratio only by round-off, which
     # stayed below 1e-15*max(1, M) over 18,000 generated instances
     slack = 1e-12 * max(1.0, abs(M))
-    if (not np.all(np.isfinite(ratio))
-            or np.min(ratio) < m - slack or np.max(ratio) > M + slack):
-        raise ConstructionError(
-            f"ratio sandwich [{m}, {M}] violated: observed "
-            f"[{float(np.min(ratio))}, {float(np.max(ratio))}]"
-        )
+    # a NaN makes both ends NaN, which fails every comparison; an infinity
+    # is an end
+    lo, hi = float(ratio.min()), float(ratio.max())
+    if not (-math.inf < lo and hi < math.inf) or lo < m - slack or hi > M + slack:
+        raise ConstructionError(f"ratio sandwich [{m}, {M}] violated: observed [{lo}, {hi}]")
 
 
 def _is_nondecreasing(vals: np.ndarray) -> bool:
-    return bool(np.all(np.diff(vals) >= -1e-12 * max(1.0, float(np.max(np.abs(vals))))))
+    # max |v| without the abs array; the smallest step decides, and a NaN
+    # step fails the comparison
+    scale = max(1.0, float(max(vals.max(), -vals.min())))
+    return bool((vals[1:] - vals[:-1]).min() >= -1e-12 * scale)
 
 
 def _check_monotone(fv: np.ndarray, gv: np.ndarray) -> None:
@@ -368,11 +371,13 @@ def _draw_tabulated(rng, x_max: float, lo: float, hi: float, order: int = 0) -> 
     Values are uniform on [lo, hi], sorted ascending for order 1 and
     descending for order -1.
     """
-    inner = np.sort(rng.uniform(0.0, x_max, 3))
-    bp = np.unique(np.concatenate([[0.0], inner, [x_max]]))
+    # the sorted set of plain floats is np.unique's breakpoints, value for
+    # value; both tuples keep numpy floats, as a row's repr shows them
+    bp = np.array(sorted({0.0, x_max, *rng.uniform(0.0, x_max, 3).tolist()}))
     vals = rng.uniform(lo, hi, len(bp))
     if order:
-        vals = np.sort(vals)[::order]
+        vals.sort()
+        vals = vals[::order]
     return TabulatedFn(tuple(bp), tuple(vals))
 
 
@@ -481,10 +486,9 @@ def random_instance(seed: int, theorem_id: str) -> TestInstance:
         m = M = p = q = None
     else:
         gamma = delta = None
-        lo, hi = np.sort(rng.uniform(0.2, 5.0, 2))
-        if hi - lo < 0.05:
-            hi = lo + 0.05
-        m, M = float(lo), float(hi)
+        m, M = sorted(rng.uniform(0.2, 5.0, 2).tolist())
+        if M - m < 0.05:
+            M = m + 0.05
 
     for _ in range(_MAX_TRIES):
         if theorem_id == "4.4":

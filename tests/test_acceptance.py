@@ -162,6 +162,7 @@ def campaign(tmp_path_factory):
     return path, code, elapsed
 
 
+@pytest.mark.slow
 def test_criterion_6_full_campaign_zero_fails(campaign):
     """1000 trials per theorem: no fail verdicts, <= 1% inconclusive, and
     the equality instances sit inside tolerance."""
@@ -206,6 +207,7 @@ def test_criterion_7_proof_step_margins():
     assert time.perf_counter() - t0 < 120.0
 
 
+@pytest.mark.slow
 def test_criterion_8_campaign_is_deterministic(campaign, tmp_path):
     """Repeating the full campaign reproduces the report byte for byte."""
     first_path, code, _ = campaign

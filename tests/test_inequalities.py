@@ -197,6 +197,7 @@ class TestPinnedSeeds:
         assert rep.rhs == pytest.approx(rhs, rel=1e-8)
 
 
+@pytest.mark.slow
 def test_thm44_elementary_monotone_pair():
     # f = t against a tabulated stand-in for 1/(1+t) with unit exponents
     ts = np.linspace(0.0, 1.5, 33)

@@ -478,3 +478,49 @@ def test_campaign_checks_solve_three_rules_each(monkeypatch):
     legendre = [size for size, legendre in solves if legendre]
     assert jacobi == [64] * (3 * len(checks))
     assert legendre and len(legendre) == len(set(legendre))
+
+
+def test_campaign_checks_build_each_plan_once(monkeypatch):
+    """240 campaign checks from cold caches: each builds one parameter
+    table, one first-chunk series plan and three order-64 Jacobi rules,
+    and a panel layout is built at most once per distinct cut tuple, so no
+    part of a check's cold path is built twice."""
+    from hyperk import fracint, specfun
+
+    stevd = quadrature._stevd
+    built = {"table": [], "chunk": [], "layout": [], "jacobi": []}
+
+    def counted_solve(diag, off, **kwargs):
+        if diag.any():  # not a Legendre rule, whose diagonal is zero
+            built["jacobi"].append(diag.size)
+        return stevd(diag, off, **kwargs)
+
+    def counted(kind, cached):
+        def call(*args):
+            misses = cached.cache_info().misses
+            out = cached(*args)
+            if cached.cache_info().misses > misses:
+                built[kind].append(args)
+            return out
+        return call
+
+    monkeypatch.setattr(quadrature, "_stevd", counted_solve)
+    for module, name, kind in ((fracint, "_param_table", "table"), (specfun, "_first_chunk", "chunk"),
+                               (quadrature, "_panel_layout", "layout")):
+        cached = getattr(module, name)
+        cached.cache_clear()
+        monkeypatch.setattr(module, name, counted(kind, cached))
+    for cached in (quadrature.gauss_jacobi_rule, quadrature.split_rule, quadrature._legendre_rule):
+        cached.cache_clear()
+    per_check = []
+    for task in [(tid, seed) for seed in range(40) for tid in THEOREM_IDS]:
+        before = {kind: len(log) for kind, log in built.items()}
+        _suite_row(64, task)
+        per_check.append({kind: len(log) - before[kind] for kind, log in built.items()})
+    for kind, count in (("table", 1), ("chunk", 1), ("jacobi", 3)):
+        assert [counts[kind] for counts in per_check] == [count] * len(per_check), kind
+    assert set(built["jacobi"]) == {64}
+    layouts = built["layout"]
+    assert len(layouts) == len(set(layouts))
+    assert [cuts for _, cuts in layouts if not cuts] == [()]
+    assert any(len(cuts) > 0 for _, cuts in layouts)

@@ -320,6 +320,165 @@ class TestVerifyHypotheses:
             verify_hypotheses(broken)
 
 
+def _whole_array_verdicts(kind, *args):
+    """The checks as np.all / np.min / np.max over whole arrays, the form
+    the sampled checks had before they read only the array's min and max:
+    None where the check passes, else the ConstructionError text."""
+    if kind == "positive":
+        vals, = args
+        ok = np.all(np.isfinite(vals)) and not np.min(vals) <= 0.0
+        return None if ok else "is not positive and finite"
+    if kind == "sandwich":
+        ratio, m, M = args
+        slack = 1e-12 * max(1.0, abs(M))
+        if (not np.all(np.isfinite(ratio))
+                or np.min(ratio) < m - slack or np.max(ratio) > M + slack):
+            return (f"ratio sandwich [{m}, {M}] violated: observed "
+                    f"[{float(np.min(ratio))}, {float(np.max(ratio))}]")
+        return None
+    vals, = args
+    return bool(np.all(np.diff(vals) >= -1e-12 * max(1.0, float(np.max(np.abs(vals))))))
+
+
+def _verdict(check, *args):
+    try:
+        check(*args)
+    except ConstructionError as exc:
+        return str(exc)
+    return None
+
+
+def _with(vals, index, value):
+    out = np.array(vals)
+    out[index] = value
+    return out
+
+
+class TestSampledChecksMatchWholeArrayForms:
+    """The sampled checks read an array's min and max; on adversarial
+    arrays they decide (and word their errors) as the whole-array forms do."""
+
+    BAD = (np.nan, np.inf, -np.inf, 0.0, -0.0, -1e-300, -3.0, 5e-324)
+
+    def test_positive_and_finite(self):
+        import hyperk.testfuncs as tf
+
+        base = np.linspace(0.5, 2.0, sample_points(1.0).size)
+        cases = [base, np.full(base.size, np.nan)]
+        cases += [_with(base, i, v) for v in self.BAD for i in (0, 256, -1)]
+        for vals in cases:
+            for label, f, g in (("f", vals, base), ("g", base, vals)):
+                got = _verdict(tf._sampled, lambda t, v=f: v, lambda t, v=g: v, 1.0)
+                want = _whole_array_verdicts("positive", vals)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert got == f"{label} {want} on (0, 1.0]"
+
+    def test_ratio_sandwich(self):
+        import hyperk.testfuncs as tf
+
+        m, M = 0.7, 3.0
+        slack = 1e-12 * M
+        base = np.linspace(m, M, 513)
+        low, high = m - slack, M + slack
+        cases = [base, _with(base, 7, low), _with(base, 7, np.nextafter(low, -np.inf)),
+                 _with(base, -3, high), _with(base, -3, np.nextafter(high, np.inf))]
+        cases += [_with(base, i, v) for v in (np.nan, np.inf, -np.inf) for i in (0, 256, -1)]
+        verdicts = []
+        for bounds in ((m, M), (0.2, 1.0), (m, np.inf), (np.nan, np.nan)):
+            for ratio in cases:
+                got = _verdict(tf._check_sandwich, ratio, *bounds)
+                assert got == _whole_array_verdicts("sandwich", ratio, *bounds)
+                verdicts.append(got is None)
+        assert verdicts[:5] == [True, True, False, True, False]
+
+    def test_monotone(self):
+        import hyperk.testfuncs as tf
+
+        rising = np.linspace(0.5, 2.0, 513)
+        threshold = -1e-12 * 2.0
+        steps = []
+        for ulps in range(-3, 4):
+            vals = rising.copy()
+            # a step back of about 1e-12 of the largest value, in the middle
+            vals[201] = vals[200] + threshold
+            for _ in range(abs(ulps)):
+                vals[201] = np.nextafter(vals[201], np.sign(ulps) * np.inf)
+            steps.append(vals)
+        cases = [rising, rising[::-1], -rising, np.zeros(513), *steps]
+        cases += [_with(rising, i, v) for v in (np.nan, np.inf, -np.inf) for i in (0, 256, -1)]
+        verdicts = []
+        for vals in cases:
+            for view in (vals, vals[::-1][::-1]):
+                got = tf._is_nondecreasing(view)
+                assert got is _whole_array_verdicts("monotone", view)
+            verdicts.append(got)
+        # the steps straddle the threshold
+        assert True in verdicts[4:11] and False in verdicts[4:11]
+
+
+def _whole_array_tabulated(rng, x_max, lo, hi, order=0):
+    """_draw_tabulated as np.sort and np.unique over arrays."""
+    inner = np.sort(rng.uniform(0.0, x_max, 3))
+    bp = np.unique(np.concatenate([[0.0], inner, [x_max]]))
+    vals = rng.uniform(lo, hi, len(bp))
+    if order:
+        vals = np.sort(vals)[::order]
+    return TabulatedFn(tuple(bp), tuple(vals))
+
+
+class _Replay:
+    """An rng stand-in whose uniform draws come from preset unit values."""
+
+    def __init__(self, *units):
+        self.units = list(units)
+
+    def uniform(self, lo, hi, size):
+        return lo + (hi - lo) * np.array(self.units.pop(0)[:size])
+
+
+class TestDrawsMatchArrayForms:
+    def test_tabulated_draws(self):
+        import hyperk.testfuncs as tf
+
+        for seed in range(2000):
+            x_max, lo, hi = 0.5 + seed % 7 * 0.4, 0.3 + seed % 3, 3.0 + seed % 5
+            order = (0, 1, -1)[seed % 3]
+            rng, ref_rng = (np.random.default_rng((seed, 91)) for _ in range(2))
+            got = tf._draw_tabulated(rng, x_max, lo, hi, order)
+            want = _whole_array_tabulated(ref_rng, x_max, lo, hi, order)
+            assert repr(got) == repr(want)  # values and their types
+            assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("order", [0, 1, -1])
+    def test_breakpoint_drawn_at_zero(self, order):
+        import hyperk.testfuncs as tf
+
+        # a breakpoint at 0.0 and two equal ones collapse into the others
+        units = ([0.0, 0.35, 0.35], [0.9, 0.1, 0.5, 0.3])
+        got = tf._draw_tabulated(_Replay(*units), 2.0, 0.3, 3.0, order)
+        want = _whole_array_tabulated(_Replay(*units), 2.0, 0.3, 3.0, order)
+        assert got.breakpoints == (0.0, 0.7, 2.0)
+        assert repr(got) == repr(want)
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
+    def test_ratio_bounds(self):
+        import hyperk.testfuncs as tf
+
+        for seed in range(2000):
+            tid = THEOREM_IDS[seed % 5]  # the ratio-sandwich theorems
+            inst = random_instance(seed, tid)
+            rng = np.random.default_rng((seed, tf._THEOREM_KEYS[tid]))
+            tf._draw_params(rng)
+            rng.uniform(0.5, 3.0)
+            rng.uniform(1.1, 4.0)
+            lo, hi = np.sort(rng.uniform(0.2, 5.0, 2))
+            if hi - lo < 0.05:
+                hi = lo + 0.05
+            assert (inst.m, inst.M) == (float(lo), float(hi))
+
+
 class TestEqualityInstance:
     @pytest.mark.parametrize("tid", ["3.1", "3.2", "4.1", "4.3"])
     def test_unit_window_and_equal_functions(self, tid):
