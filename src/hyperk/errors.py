@@ -4,6 +4,11 @@ Everything raised on purpose derives from HyperkError so callers can
 catch library failures without swallowing genuine bugs.
 """
 
+__all__ = [
+    "HyperkError", "DomainError", "ValidationError", "ConvergenceError",
+    "DivergenceError", "EvaluationError", "ConstructionError", "GenerationError",
+]
+
 
 class HyperkError(Exception):
     """Base class for all errors raised by this package."""

@@ -52,10 +52,10 @@ so only the kinks change what the fine level resolves; and no rule of
 order 2n, the costliest eigenproblem of a check, is ever built.
 operator_images builds both levels in one pass and evaluates each
 integrand once on both node sets, so one discretization serves every image
-of a check; apply_operator is its one-integrand case.  What depends on the
-parameters alone is cached per OperatorParams, and a point works on one
-flat array of every panel's nodes at every level, so its number of
-whole-array steps does not grow with the number of panels or levels.
+of a check; apply_operator is its one-integrand case.  The panel table is
+cached per OperatorParams, and a point works on one flat array of every
+panel's nodes at every level, so its number of whole-array steps does not
+grow with the number of panels or levels.
 """
 
 from __future__ import annotations
@@ -72,25 +72,21 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import DomainError, EvaluationError, ValidationError
-from .quadrature import MAX_ORDER, gauss_jacobi_rule, integrate, split_rule
-from .specfun import (
-    _gamma_ratio_from,
-    _is_nonpositive_integer,
-    _series_2f1_vec,
-    gauss_2f1,
-    log_gamma,
-)
+from .quadrature import MAX_ORDER, _finite_values, gauss_jacobi_rule, integrate, split_rule
+from .specfun import _connection, _is_nonpositive_integer, _series_2f1_vec, gauss_2f1, log_gamma
 
 __all__ = [
     "OperatorParams",
     "OperatorResult",
     "validate",
-    "kernel_closed",
-    "kernel_series",
     "apply_operator",
     "operator_images",
+    "kernel_closed",
+    "kernel_series",
     "operator_of_one",
     "rl_k_integral",
+    "STRICT",
+    "DEFINITION_ONLY",
     "DEFAULT_ORDER",
     "MAX_OPERATOR_ORDER",
 ]
@@ -273,28 +269,27 @@ def kernel_series(params: OperatorParams, x: float, tau: float, n_terms: int) ->
 # operator evaluation
 
 
-_ParamTable = namedtuple("_ParamTable", "panels extrapolated kp1 inv_kp1 half "
-                         "pre_0 pre_x lg_alpha hi_x log_kp1 alpha_log2 lo_tau lo_x")
+_ParamTable = namedtuple("_ParamTable", "panels extrapolated lg_alpha")
 
 
 @lru_cache(maxsize=128)
 def _param_table(params: OperatorParams) -> _ParamTable:
-    """What _discretize needs of params at every point, built once per
-    OperatorParams.  It validates them, so invalid params raise on every
-    call and never enter the cache, and it holds scalars only.
+    """The panel table, the extrapolation flag and log Gamma(alpha), built
+    once per OperatorParams.  It validates them, so invalid params raise on
+    every call and never enter the cache, and it holds scalars only.
 
     One panel per Jacobi rule: (upper?, rule exponent on the node variable,
     2F1 argument is u rather than 1 - u, terms); each term (coefficient,
     log coefficient, log shift, 2F1 parameters) adds coef * exp(log scale
     of its side + log coefficient - log shift) * 2F1 to w.  log Gamma(alpha)
     is evaluated once: the prefactor and both connection coefficients of
-    every offset take it, the latter through gamma_ratio's own sum.
+    every offset take it.
     """
     validate(params)
     alpha, beta_, eta, mu, k = params.alpha, params.beta, params.eta, params.mu, params.k
     a, b, s = alpha + beta_ + mu, -eta, eta - beta_ - mu
     kp1 = k + 1.0
-    inv_kp1, b_lo = 1.0 / kp1, kp1 * mu + k
+    b_lo = kp1 * mu + k
     lg_alpha = log_gamma(alpha)  # alpha > 0: Gamma(alpha) has sign +1
     panels = [(True, alpha - 1.0, False, [(1.0, 0.0, 0.0, (a, b, alpha))])]
     offsets = []
@@ -305,22 +300,13 @@ def _param_table(params: OperatorParams) -> _ParamTable:
         first = []
         panels.append((False, b_lo, True, first))
         for d, coef in offsets:
-            sd, bd = s + d, b - d
-            sign1, log_c1 = _gamma_ratio_from(lg_alpha, 1.0, sd, alpha - a, alpha - bd)
-            sign2, log_c2 = _gamma_ratio_from(lg_alpha, 1.0, -sd, a, bd)
-            first.append((coef * sign1, log_c1, 0.0, (a, bd, 1.0 - sd)))
-            panels.append((False, b_lo + kp1 * sd, True,
-                           [(coef * sign2, log_c2, sd * _LOG2, (alpha - a, alpha - bd, 1.0 + sd))]))
+            sd = s + d
+            (sign1, log_c1, abc1), (sign2, log_c2, abc2) = _connection(a, b - d, alpha, sd, lg_alpha, 1.0)
+            first.append((coef * sign1, log_c1, 0.0, abc1))
+            panels.append((False, b_lo + kp1 * sd, True, [(coef * sign2, log_c2, sd * _LOG2, abc2)]))
     panels = tuple((upper, b_exp, in_u, kept) for upper, b_exp, in_u, terms in panels
                    if (kept := tuple(term for term in terms if term[0] != 0.0)))
-    return _ParamTable(
-        panels, len(offsets) > 1, kp1, inv_kp1, 2.0 ** (-inv_kp1),
-        # the x-free parts of log_pre, log_hi and log_lo, one line each and
-        # one scalar per term, so the per-point sums keep their order
-        (mu + beta_ + 1.0) * log(kp1), kp1 * (-alpha - beta_ - 2.0 * mu), lg_alpha,
-        kp1 * (mu + alpha - 1.0) + k + 1.0, log(kp1), alpha * _LOG2,
-        b_lo + 1.0, kp1 * (alpha - 1.0),
-    )
+    return _ParamTable(panels, len(offsets) > 1, lg_alpha)
 
 
 def _discretize(
@@ -346,10 +332,8 @@ def _discretize(
     Prefactors, Jacobi weights, 2F1 node factors and connection
     coefficients all fold into w, so each discretization depends only on
     (params, x, order, kinks) and the operator is exactly linear in f.
-    What depends on params alone comes from _param_table, once per
-    OperatorParams; this per-point pass adds the x terms to its
-    coefficients in the order a one-off build would, so every weight keeps
-    its bits.
+    The panel table and log Gamma(alpha) come from _param_table, once per
+    OperatorParams; the prefactor is formed here, once per point.
 
     The pass works on one flat array of every panel's rules at every level,
     the upper panel first, so a point costs a fixed number of whole-array
@@ -375,10 +359,12 @@ def _discretize(
     one term each; each second branch, exponent (k+1)(mu + s + offset) + k,
     keeps its own.
     """
-    (panels, extrapolated, kp1, inv_kp1, half,
-     pre_0, pre_x, lg_alpha, hi_x, log_kp1, alpha_log2, lo_tau, lo_x) = _param_table(params)
+    panels, extrapolated, lg_alpha = _param_table(params)
+    alpha, beta_, mu, k = params.alpha, params.beta, params.mu, params.k
+    kp1 = k + 1.0
+    inv_kp1 = 1.0 / kp1
     lx = log(x)
-    log_pre = pre_0 + pre_x * lx - lg_alpha
+    log_pre = (mu + beta_ + 1.0) * log(kp1) + kp1 * (-alpha - beta_ - 2.0 * mu) * lx - lg_alpha
 
     # upper half u in [1/2, 1]: u = 1 - v/2 exposes the weight v^(alpha-1),
     # and the 2F1 argument v/2 stays in (0, 1/2) where the series is cheap.
@@ -391,15 +377,15 @@ def _discretize(
     # second connection branch, the extra u^s are exact Jacobi weights.
     # When a or b is a non-positive integer the 2F1 is a polynomial and the
     # lower half needs no connection split.
-    tau_half = x * half
+    tau_half = x * 2.0 ** (-inv_kp1)
     cuts_hi = cuts_lo = ()
     if kinks:
         # a kink on the far side of tau_half maps outside (0, 1)
         cuts_hi = tuple(sorted(c for c in (2.0 * (1.0 - (t / x) ** kp1) for t in kinks)
                                if 0.0 < c < 1.0))
         cuts_lo = tuple(c for c in (t / tau_half for t in kinks) if 0.0 < c < 1.0)
-    log_hi = log_pre + (hi_x * lx - log_kp1 - alpha_log2)
-    log_lo = log_pre + (lo_tau * log(tau_half) + lo_x * lx)
+    log_hi = log_pre + ((kp1 * (mu + alpha - 1.0) + k + 1.0) * lx - log(kp1) - alpha * _LOG2)
+    log_lo = log_pre + ((kp1 * mu + k + 1.0) * log(tau_half) + kp1 * (alpha - 1.0) * lx)
 
     rules = []
     for upper, b_exp, _, _ in panels:
@@ -415,7 +401,7 @@ def _discretize(
     np.multiply(0.5, nodes[lo] ** kp1, out=u[lo])
     np.subtract(1.0, u[lo], out=one_minus_u[lo])
     tau[hi], tau[lo] = x * u[hi] ** inv_kp1, tau_half * nodes[lo]
-    smooth[hi], smooth[lo] = u[hi] ** params.mu, one_minus_u[lo] ** (params.alpha - 1.0)
+    smooth[hi], smooth[lo] = u[hi] ** mu, one_minus_u[lo] ** (alpha - 1.0)
 
     # one block per series term: (later term?, its panel's nodes, scale, 2F1
     # parameters, z), every panel's first term first, as the panels lie
@@ -507,13 +493,7 @@ def operator_images(
     tau, (w_c, w_f), extrapolated = _discretize(params, x, (order, 2 * order), kinks)
     results = []
     for f in fs:
-        values = np.asarray(f(tau), dtype=float)
-        if values.shape != tau.shape:
-            values = np.broadcast_to(values, tau.shape)
-        bad = ~np.isfinite(values)
-        if np.any(bad):
-            node = float(tau[np.argmax(bad)])
-            raise EvaluationError(f"integrand is not finite at tau = {node!r}", node=node)
+        values = _finite_values(f, tau, "tau")
         coarse = float(w_c @ values[: w_c.size])
         fine = float(w_f @ values[w_c.size :])
         estimate = abs(fine - coarse)

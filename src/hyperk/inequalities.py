@@ -35,11 +35,10 @@ Margins are oriented so that a true statement gives margin >= 0:
          rhs = I[f^gamma] * I[g^delta]
          (f non-decreasing, g non-increasing; a Chebyshev-type bound)
 
-Both exponent placements of the first two bounds are exposed: the checkers
-above use the p-coherent reading (all powers 1/p against the same
-p-th-power images), which is the form the two-sided chain actually proves;
-the loose reading printed in the source text mixes in unexponentiated
-images and fails dimensional analysis under f -> c f.
+The first two bounds are checked in the p-coherent reading (all powers
+1/p against the same p-th-power images), which is the form the two-sided
+chain actually proves; the loose reading printed in the source text mixes
+in unexponentiated images and fails dimensional analysis under f -> c f.
 """
 
 from __future__ import annotations
@@ -56,17 +55,17 @@ from .testfuncs import TestInstance, random_instance
 
 __all__ = [
     "InequalityReport",
+    "CHECKERS",
+    "check_instance",
+    "check_proof_steps",
     "check_thm31",
     "check_thm32",
     "check_thm41",
     "check_thm42",
     "check_thm43",
     "check_thm44",
-    "check_instance",
-    "check_proof_steps",
     "run_suite",
     "summarize",
-    "CHECKERS",
 ]
 
 _NAN = float("nan")
@@ -84,7 +83,6 @@ class InequalityReport:
     combined_error: float
     verdict: str
     instance: Optional[TestInstance]
-    form: str = ""
     note: str = ""
 
     @property
@@ -129,12 +127,12 @@ class _Image:
         return _Image(self.value ** e, abs(e) * abs(self.value) ** (e - 1.0) * self.err)
 
 
-def _report(theorem_id, instance, lhs, rhs, form="", lower=False) -> InequalityReport:
+def _report(theorem_id, instance, lhs, rhs, lower=False) -> InequalityReport:
     """Each side is bounded separately, so the margin's error is their sum."""
     margin = lhs.value - rhs.value if lower else rhs.value - lhs.value
     err = lhs.err + rhs.err
     return InequalityReport(theorem_id, instance.seed, lhs.value, rhs.value, margin, err,
-                            _verdict(margin, _tolerance(err)), instance, form=form)
+                            _verdict(margin, _tolerance(err)), instance)
 
 
 def _fields(instance, *names):
@@ -158,7 +156,7 @@ def check_thm31(instance: TestInstance, order: int = DEFAULT_ORDER) -> Inequalit
     kappa = (1.0 + M * (m + 2.0)) / ((m + 1.0) * (M + 1.0))
     lhs = A ** (1.0 / p) + B ** (1.0 / p)
     rhs = kappa * C ** (1.0 / p)
-    return _report("3.1", instance, lhs, rhs, form="p-coherent")
+    return _report("3.1", instance, lhs, rhs)
 
 
 def check_thm32(instance: TestInstance, order: int = DEFAULT_ORDER) -> InequalityReport:
@@ -167,7 +165,7 @@ def check_thm32(instance: TestInstance, order: int = DEFAULT_ORDER) -> Inequalit
     coeff = (M + 1.0) * (m + 1.0) / M - 2.0
     lhs = A ** (2.0 / p) + B ** (2.0 / p)
     rhs = coeff * A ** (1.0 / p) * B ** (1.0 / p)
-    return _report("3.2", instance, lhs, rhs, form="p-coherent", lower=True)
+    return _report("3.2", instance, lhs, rhs, lower=True)
 
 
 def check_thm41(instance: TestInstance, order: int = DEFAULT_ORDER) -> InequalityReport:

@@ -46,7 +46,7 @@ import numpy as np
 from .errors import DomainError, EvaluationError
 from .specfun import beta
 
-__all__ = ["JacobiRule", "gauss_jacobi_rule", "split_rule", "integrate", "MAX_ORDER"]
+__all__ = ["JacobiRule", "gauss_jacobi_rule", "integrate", "MAX_ORDER"]
 
 MAX_ORDER = 256
 # split_rule's Jacobi panel ends here at the latest, and its smallest
@@ -291,13 +291,18 @@ def integrate(rule: JacobiRule, smooth_part: Callable[[np.ndarray], np.ndarray])
     broadcasting covers the usual lambdas).  A non-finite value at any
     node raises EvaluationError carrying that node.
     """
-    values = np.asarray(smooth_part(rule.nodes), dtype=float)
-    if values.shape != rule.nodes.shape:
-        values = np.broadcast_to(values, rule.nodes.shape)
+    return float(rule.weights @ _finite_values(smooth_part, rule.nodes, "quadrature node u"))
+
+
+def _finite_values(f: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray, label: str) -> np.ndarray:
+    """f on the whole node array, broadcast to its shape.  A non-finite
+    value raises EvaluationError carrying the first such node, named label
+    in the message."""
+    values = np.asarray(f(nodes), dtype=float)
+    if values.shape != nodes.shape:
+        values = np.broadcast_to(values, nodes.shape)
     bad = ~np.isfinite(values)
     if np.any(bad):
-        node = float(rule.nodes[np.argmax(bad)])
-        raise EvaluationError(
-            f"integrand is not finite at quadrature node u = {node!r}", node=node
-        )
-    return float(rule.weights @ values)
+        node = float(nodes[np.argmax(bad)])
+        raise EvaluationError(f"integrand is not finite at {label} = {node!r}", node=node)
+    return values

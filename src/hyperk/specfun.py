@@ -22,7 +22,6 @@ __all__ = [
     "pochhammer",
     "beta",
     "gauss_2f1",
-    "gamma_ratio",
 ]
 
 # Lanczos approximation, g = 607/128 with 15 coefficients (Godfrey's set).
@@ -157,8 +156,7 @@ def _signed_log_rgamma(x: float) -> tuple[float, float]:
 def gamma_ratio(p: float, q: float, r: float, t: float) -> tuple[float, float]:
     """(sign, log |Gamma(p) Gamma(q) / (Gamma(r) Gamma(t))|) for non-pole p, q.
 
-    The coefficients of the 2F1 connection formula at 1 - w:
-    C1 = gamma_ratio(c, s, c-a, c-b) and C2 = gamma_ratio(c, -s, a, b).
+    The connection coefficients C1 and C2 of _connection are such ratios.
     A pole of Gamma at r or t gives sign 0.0.  The reciprocal factors are
     summed first, so the result is exact under r <-> t (a <-> b).
     """
@@ -172,6 +170,22 @@ def _gamma_ratio_from(lg_p: float, s_p: float, q: float, r: float, t: float) -> 
     lr_r, s_r = _signed_log_rgamma(r)
     lr_t, s_t = _signed_log_rgamma(t)
     return s_p * s_q * (s_r * s_t), lg_p + lg_q + (lr_r + lr_t)
+
+
+def _connection(a: float, b: float, c: float, s: float, lg_c: float, sign_c: float):
+    """The two branches of the 2F1 connection formula at 1 - w (DLMF 15.8.4),
+
+        F(a,b;c;1-w) = C1 F(a,b;1-s;w) + C2 w^s F(c-a,c-b;1+s;w)
+
+    with C1 = Gamma(c)Gamma(s)/(Gamma(c-a)Gamma(c-b)) and
+    C2 = Gamma(c)Gamma(-s)/(Gamma(a)Gamma(b)), given s = c - a - b
+    (non-integer) and (log |Gamma(c)|, its sign): one (sign, log |C|, 2F1
+    parameters) per branch.  A branch whose C has a reciprocal Gamma at a
+    pole has sign 0.0.
+    """
+    sign1, log_c1 = _gamma_ratio_from(lg_c, sign_c, s, c - a, c - b)
+    sign2, log_c2 = _gamma_ratio_from(lg_c, sign_c, -s, a, b)
+    return (sign1, log_c1, (a, b, 1.0 - s)), (sign2, log_c2, (c - a, c - b, 1.0 + s))
 
 
 def pochhammer(a: float, n: int) -> float:
@@ -228,21 +242,13 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
 
 
 def _connected_2f1(a: float, b: float, c: float, s: float, w: float) -> float:
-    """2F1 at argument 1 - w via the two series in powers of w.
-
-    F(a,b;c;1-w) = C1 F(a,b;1-s;w) + C2 w^s F(c-a,c-b;1+s;w)
-    with C1 = Gamma(c)Gamma(s)/(Gamma(c-a)Gamma(c-b)) and
-    C2 = Gamma(c)Gamma(-s)/(Gamma(a)Gamma(b)).  Requires s non-integer.
-    """
-    sign1, log_c1 = gamma_ratio(c, s, c - a, c - b)
-    sign2, log_c2 = gamma_ratio(c, -s, a, b)
+    """2F1(a, b; c; 1 - w) via the two series in powers of w of _connection."""
+    (sign1, log_c1, abc1), (sign2, log_c2, abc2) = _connection(a, b, c, s, *_signed_log_gamma(c))
     total = 0.0
     if sign1 != 0.0:
-        total += sign1 * exp(log_c1) * float(_series_2f1_vec(a, b, 1.0 - s, w)[0])
+        total += sign1 * exp(log_c1) * float(_series_2f1_vec(*abc1, w)[0])
     if sign2 != 0.0:
-        total += sign2 * exp(log_c2 + s * log(w)) * float(
-            _series_2f1_vec(c - a, c - b, 1.0 + s, w)[0]
-        )
+        total += sign2 * exp(log_c2 + s * log(w)) * float(_series_2f1_vec(*abc2, w)[0])
     return total
 
 

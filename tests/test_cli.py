@@ -356,3 +356,28 @@ def test_selftest_battery(capsys):
     code, out, _ = run(["selftest"], capsys)
     assert code == 0
     assert "7 of 7 checks passed" in out
+
+
+def test_selftest_reports_every_failing_check(capsys, monkeypatch):
+    names = [name for name, _ in cli._selftest_checks()]
+    ran = []
+
+    def stub(i):
+        def check():
+            ran.append(names[i])
+            if i == 2:
+                return "off by one ulp"
+            if i == 4:
+                raise RuntimeError("no rule")
+            return None
+        return check
+
+    monkeypatch.setattr(cli, "_selftest_checks", lambda: [(name, stub(i)) for i, name in enumerate(names)])
+    code, out, _ = run(["selftest"], capsys)
+    assert code == 1
+    assert ran == names
+    lines = out.splitlines()
+    assert f"FAIL  {names[2]}: off by one ulp" in lines
+    assert f"FAIL  {names[4]}: RuntimeError: no rule" in lines
+    assert sum(line.startswith("ok    ") for line in lines) == 5
+    assert lines[-1] == "5 of 7 checks passed"

@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -303,16 +304,19 @@ class TestDiscretizationReuse:
 
 class TestRunSuite:
     def test_suite_rows_are_pinned(self):
-        """sha256 of the repr of every row of a 120-check campaign.
+        """sha256 of the JSON of every row's values in a 120-check campaign.
 
-        Any moved bit of a lhs, rhs, margin, combined error or verdict moves
-        it; a change that moves the numerics on purpose re-pins it and says so.
+        Any moved bit of a lhs, rhs, margin, combined error, verdict, note or
+        instance moves it, but not the repr of the types that hold them; a
+        change that moves the numerics on purpose re-pins it and says so.
         """
         digest = hashlib.sha256()
         for row in run_suite(THEOREM_IDS, 20, base_seed=0):
-            digest.update(repr(row).encode() + b"\n")
+            values = [row.theorem_id, row.seed, row.lhs, row.rhs, row.margin, row.combined_error,
+                      row.verdict, row.note, None if row.instance is None else row.instance.to_dict()]
+            digest.update(json.dumps(values).encode() + b"\n")
         assert digest.hexdigest() == (
-            "dfb9c717f7244bca80fe8cc4fbb8ce4b97a5431ecea96ea001c97365d1d8e370")
+            "530046464075a7539899a48610ee7cf6c3ec83584e9d0e692f8b0d2fd74db588")
 
     def test_single_trial_equals_single_check(self):
         row = run_suite(["3.2"], trials=1, base_seed=9)[0]
