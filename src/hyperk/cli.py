@@ -37,6 +37,7 @@ from .errors import (
     DomainError,
     EvaluationError,
     GenerationError,
+    HyperkError,
     ValidationError,
 )
 from .fracint import (
@@ -260,17 +261,11 @@ def _params_from_args(args) -> OperatorParams:
 def _row_dict(rep) -> dict:
     inst = rep.instance
     row = {"theorem": rep.theorem_id, "seed": rep.seed}
-    if inst is None:
-        for name in ("alpha", "beta", "eta", "mu", "k", "p", "q",
-                     "m", "M", "gamma", "delta", "x"):
-            row[name] = None
-    else:
-        row.update(alpha=inst.params.alpha, beta=inst.params.beta,
-                   eta=inst.params.eta, mu=inst.params.mu, k=inst.params.k,
-                   p=inst.p, q=inst.q, m=inst.m, M=inst.M,
-                   gamma=inst.gamma, delta=inst.delta, x=inst.x)
-    row.update(lhs=rep.lhs, rhs=rep.rhs, margin=rep.margin,
-               combined_error=rep.combined_error, verdict=rep.verdict)
+    # the instance columns: the operator parameters from its params, the rest its own
+    for name in CSV_COLUMNS[2:-5]:
+        row[name] = None if inst is None else getattr(
+            inst.params if name in _PARAM_AXES else inst, name)
+    row.update((name, getattr(rep, name)) for name in CSV_COLUMNS[-5:])
     return row
 
 
@@ -435,8 +430,7 @@ def _cmd_sweep(args) -> int:
             validate(inst.params)
             verify_hypotheses(inst)
             reports.append(check_instance(inst, order=args.order))
-        except (ValidationError, ConstructionError, DomainError,
-                EvaluationError, ConvergenceError, DivergenceError) as exc:
+        except HyperkError as exc:
             reason = (exc.violations[0]
                       if isinstance(exc, ValidationError) and exc.violations
                       else type(exc).__name__)

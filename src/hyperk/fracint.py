@@ -201,19 +201,17 @@ def _check_order(order: int) -> int:
 # kernel
 
 
-def _check_kernel_args(params: OperatorParams, x: float, tau: float) -> None:
-    validate(params)
-    _check_point(x)
-    if not (math.isfinite(tau) and 0.0 < tau < x):
-        raise DomainError(f"kernel requires 0 < tau < x, got tau = {tau!r}, x = {x!r}")
-
-
 def _kernel_log_head(params: OperatorParams, x: float, tau: float) -> tuple[float, float]:
-    """(log of the n=0 series term, series argument 1 - (tau/x)^(k+1)).
+    """(log of the n=0 series term, series argument 1 - (tau/x)^(k+1)),
+    after checking params, x and 0 < tau < x.
 
     The head collects every factor of the kernel except the 2F1 sum, with
     all powers of x and tau taken in log space.
     """
+    validate(params)
+    _check_point(x)
+    if not (math.isfinite(tau) and 0.0 < tau < x):
+        raise DomainError(f"kernel requires 0 < tau < x, got tau = {tau!r}, x = {x!r}")
     alpha, beta_, mu, k = params.alpha, params.beta, params.mu, params.k
     kp1 = k + 1.0
     z_low = (tau / x) ** kp1
@@ -233,14 +231,21 @@ def kernel_closed(params: OperatorParams, x: float, tau: float) -> float:
     This excludes the tau^k measure factor, which the operator carries
     separately next to f(tau).  Positive throughout the admissible window.
     """
-    _check_kernel_args(params, x, tau)
     head, arg = _kernel_log_head(params, x, tau)
     a = params.alpha + params.beta + params.mu
     return exp(head) * gauss_2f1(a, -params.eta, params.alpha, arg)
 
 
-def _kernel_terms(params: OperatorParams, x: float, tau: float, n_terms: int) -> np.ndarray:
+def kernel_series(params: OperatorParams, x: float, tau: float, n_terms: int) -> float:
+    """Partial sum of the kernel's expansion in powers of 1 - (tau/x)^(k+1).
+
+    Under the strict window every term is positive, so the partial sums
+    increase monotonically toward kernel_closed.
+    """
     head, arg = _kernel_log_head(params, x, tau)
+    if not isinstance(n_terms, (int, np.integer)) or n_terms < 1:
+        raise DomainError(f"n_terms must be a positive integer, got {n_terms!r}")
+    n_terms = int(n_terms)
     a = params.alpha + params.beta + params.mu
     b = -params.eta
     alpha = params.alpha
@@ -250,19 +255,7 @@ def _kernel_terms(params: OperatorParams, x: float, tau: float, n_terms: int) ->
         n = np.arange(n_terms - 1, dtype=float)
         ratios = (a + n) * (b + n) / ((alpha + n) * (n + 1.0)) * arg
         terms[1:] = terms[0] * np.cumprod(ratios)
-    return terms
-
-
-def kernel_series(params: OperatorParams, x: float, tau: float, n_terms: int) -> float:
-    """Partial sum of the kernel's expansion in powers of 1 - (tau/x)^(k+1).
-
-    Under the strict window every term is positive, so the partial sums
-    increase monotonically toward kernel_closed.
-    """
-    _check_kernel_args(params, x, tau)
-    if not isinstance(n_terms, (int, np.integer)) or n_terms < 1:
-        raise DomainError(f"n_terms must be a positive integer, got {n_terms!r}")
-    return math.fsum(_kernel_terms(params, x, tau, int(n_terms)))
+    return math.fsum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +307,11 @@ def _discretize(
     x: float,
     orders: tuple[int, ...],
     kinks: tuple[float, ...] = (),
-) -> tuple[np.ndarray, list[np.ndarray], bool]:
-    """(tau, weights, extrapolated): nodes tau in (0, x) and, per entry of
-    orders, weights w with I[f](x) ~ w @ f(tau), and whether the lower half
-    was extrapolated across eta offsets.  tau holds every level's nodes,
-    level after level: level i's are the weights[i].size after those of the
-    levels before it.
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(tau, weights): nodes tau in (0, x) and, per entry of orders, weights
+    w with I[f](x) ~ w @ f(tau).  tau holds every level's nodes, level after
+    level: level i's are the weights[i].size after those of the levels
+    before it.
 
     The first entry n is the coarse level: each panel takes the plain
     order-n Gauss-Jacobi rule.  Every later entry m is a fine level: each
@@ -359,7 +351,7 @@ def _discretize(
     one term each; each second branch, exponent (k+1)(mu + s + offset) + k,
     keeps its own.
     """
-    panels, extrapolated, lg_alpha = _param_table(params)
+    panels, _, lg_alpha = _param_table(params)
     alpha, beta_, mu, k = params.alpha, params.beta, params.mu, params.k
     kp1 = k + 1.0
     inv_kp1 = 1.0 / kp1
@@ -427,7 +419,7 @@ def _discretize(
     order = [slice(edges[k], edges[k + 1]) for level in range(levels) for k in range(level, len(rules), levels)]
     tau, w = (np.concatenate([array[span] for span in order]) for array in (tau, w))
     ends = [*accumulate(span.stop - span.start for span in order)][len(panels) - 1 :: len(panels)]
-    return tau, [w[i:j] for i, j in zip([0, *ends], ends)], extrapolated
+    return tau, [w[i:j] for i, j in zip([0, *ends], ends)]
 
 
 def _nudge_offsets(params: OperatorParams) -> list[tuple[float, float]]:
@@ -464,6 +456,12 @@ def _nudge_offsets(params: OperatorParams) -> list[tuple[float, float]]:
     return [(d, math.prod([(s + d - p) / (s - p) for p in near], start=c)) for d, c in zip(offsets, coefs)]
 
 
+def _union_of_kinks(fs, x: float) -> tuple[float, ...]:
+    """The sorted union of the kinks of fs in (0, x), read from each one's
+    ``kinks(x)`` method; a plain callable counts as smooth."""
+    return tuple(sorted({t for f in fs if hasattr(f, "kinks") for t in f.kinks(x)}))
+
+
 def operator_images(
     params: OperatorParams,
     fs: Iterable[Callable[[np.ndarray], np.ndarray]],
@@ -485,12 +483,11 @@ def operator_images(
     behaviour for this integrand.  A non-finite value of f raises
     EvaluationError carrying that node tau.
     """
-    _param_table(params)  # validates params, and is reused by _discretize
+    extrapolated = _param_table(params).extrapolated  # validates params; _discretize reuses it
     _check_point(x)
     order = _check_order(order)
     fs = tuple(fs)
-    kinks = tuple(sorted({t for f in fs if hasattr(f, "kinks") for t in f.kinks(x)}))
-    tau, (w_c, w_f), extrapolated = _discretize(params, x, (order, 2 * order), kinks)
+    tau, (w_c, w_f) = _discretize(params, x, (order, 2 * order), _union_of_kinks(fs, x))
     results = []
     for f in fs:
         values = _finite_values(f, tau, "tau")

@@ -103,11 +103,12 @@ def log_gamma(x: float) -> float:
 
 
 def _log_gamma_unchecked(x: float) -> float:
+    """log |Gamma(x)| for any non-pole real x."""
     if x == 1.0 or x == 2.0:
         return 0.0
     if x < 0.5:
         # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return log(pi / sin(pi * x)) - _log_gamma_unchecked(1.0 - x)
+        return log(pi / abs(sin(pi * x))) - _log_gamma_unchecked(1.0 - x)
     z = x - 1.0
     acc = _LANCZOS_C[0]
     for i, c in _LANCZOS_TERMS:
@@ -130,10 +131,7 @@ def _signed_log_gamma(x: float) -> tuple[float, float]:
     """
     if not math.isfinite(x) or _is_nonpositive_integer(x):
         raise DomainError(f"Gamma pole or invalid argument: {x!r}")
-    if x > 0.0:
-        return _log_gamma_unchecked(x), 1.0
-    s = sin(pi * x)
-    return log(pi / abs(s)) - _log_gamma_unchecked(1.0 - x), (1.0 if s > 0.0 else -1.0)
+    return _log_gamma_unchecked(x), (1.0 if x > 0.0 or sin(pi * x) > 0.0 else -1.0)
 
 
 def _signed_log_rgamma(x: float) -> tuple[float, float]:

@@ -16,14 +16,15 @@ in [m, M]) and redraws until verify_hypotheses accepts the instance.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import MISSING, dataclass, fields, replace
-from functools import lru_cache
-from typing import ClassVar, Optional
+from functools import lru_cache, reduce
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
 from .errors import ConstructionError, DomainError, GenerationError
-from .fracint import OperatorParams
+from .fracint import OperatorParams, _union_of_kinks
 
 __all__ = [
     "FunctionSpec",
@@ -144,40 +145,31 @@ class TabulatedFn(FunctionSpec):
         return tuple(float(b) for b in self.breakpoints if 0.0 < b < x)
 
 
-def _union_of_kinks(parts, x: float) -> tuple[float, ...]:
-    return tuple(sorted({b for part in parts for b in part.kinks(x)}))
-
-
 @dataclass(frozen=True)
-class SumFn(FunctionSpec):
+class _FoldFn(FunctionSpec):
+    """parts combined pointwise by _fold, left to right, with the union of
+    their kinks.  Subclasses only name their family and _fold; equality
+    and repr go by the subclass, so a sum never equals a product."""
+
+    parts: tuple[FunctionSpec, ...]
+    _fold: ClassVar[Callable]
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        return reduce(self._fold, [part(t) for part in self.parts])
+
+    def kinks(self, x: float) -> tuple[float, ...]:
+        return _union_of_kinks(self.parts, x)
+
+
+class SumFn(_FoldFn):
     family: ClassVar[str] = "sum"
-    parts: tuple[FunctionSpec, ...]
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        total = self.parts[0](t)
-        for part in self.parts[1:]:
-            total = total + part(t)
-        return total
-
-    def kinks(self, x: float) -> tuple[float, ...]:
-        return _union_of_kinks(self.parts, x)
+    _fold = operator.add
 
 
-@dataclass(frozen=True)
-class ProductFn(FunctionSpec):
+class ProductFn(_FoldFn):
     family: ClassVar[str] = "product"
-    parts: tuple[FunctionSpec, ...]
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        total = self.parts[0](t)
-        for part in self.parts[1:]:
-            total = total * part(t)
-        return total
-
-    def kinks(self, x: float) -> tuple[float, ...]:
-        return _union_of_kinks(self.parts, x)
+    _fold = operator.mul
 
 
 @dataclass(frozen=True)

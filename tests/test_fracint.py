@@ -244,12 +244,13 @@ PATH_CASES = {
 
 
 def discretize_levels(params, x, orders, kinks=()):
-    """fracint._discretize's (tau, w) pair per level, and whether it
-    extrapolated: level i's nodes are the w_i.size entries of the flat tau
-    after those of the levels before it."""
-    tau, weights, extrapolated = fracint._discretize(params, x, orders, kinks)
+    """fracint._discretize's (tau, w) pair per level, and whether the panel
+    table extrapolates: level i's nodes are the w_i.size entries of the flat
+    tau after those of the levels before it."""
+    tau, weights = fracint._discretize(params, x, orders, kinks)
     bounds = np.cumsum([0, *(w.size for w in weights)])
-    return [(tau[i:j], w) for i, j, w in zip(bounds, bounds[1:], weights)], extrapolated
+    levels = [(tau[i:j], w) for i, j, w in zip(bounds, bounds[1:], weights)]
+    return levels, fracint._param_table(params).extrapolated
 
 
 IMAGE_FNS = (ExpFn(1.3, 0.5),

@@ -53,6 +53,35 @@ class TestLogGamma:
             log_gamma(bad)
 
 
+def reflection_grid(n, seed):
+    """n seeded negative non-integers in (-10.5, 0), n points of (0, 1/2),
+    and 0, -1, ..., -10 each exactly and 1e-9 either side."""
+    rng = np.random.default_rng(seed)
+    negative = -rng.uniform(0.0, 10.5, 2 * n)
+    negative = negative[np.abs(negative - np.round(negative)) > 1e-6][:n]
+    near_poles = [j + d for j in range(0, -11, -1) for d in (-1e-9, 0.0, 1e-9)]
+    return [*negative.tolist(), *rng.uniform(0.0, 0.5, n).tolist(), *near_poles]
+
+
+def test_reflection_bits_are_pinned():
+    """float.hex of log |Gamma| and its sign, of log |1/Gamma| and its sign
+    and, for x > 0, of log_gamma, over both sides of the reflection formula
+    and up to the poles: the operator's connection coefficients reach only
+    some of these arguments, so this pins the rest."""
+    digest = hashlib.sha256()
+    for x in reflection_grid(1000, 2303):
+        calls = [specfun._signed_log_gamma, specfun._signed_log_rgamma]
+        if x > 0.0:
+            calls.append(lambda v: (log_gamma(v),))
+        digest.update(x.hex().encode())
+        for call in calls:
+            try:
+                digest.update(" ".join(float(v).hex() for v in call(x)).encode())
+            except DomainError:
+                digest.update(b"DomainError")
+    assert digest.hexdigest() == "31a767badaf60122e7a982648ea213c6a1305bd59a010be9b9647aa8a05c453a"
+
+
 class TestPochhammer:
     @pytest.mark.parametrize("a", [-2.5, -1.0, 0.0, 0.3, 1.0, 7.5])
     def test_empty_product(self, a):

@@ -106,6 +106,39 @@ class TestKinks:
             assert spec.kinks(2.0) == ()
 
 
+class TestSumAndProduct:
+    """SumFn and ProductFn fold their parts left to right with + and *,
+    and take the union of their kinks, yet stay two distinct families."""
+
+    PARTS = (TabulatedFn((0.0, 0.4, 1.1, 2.0), (1.0, 2.5, 0.7, 1.3)),
+             ExpFn(1.3, 0.4),
+             TabulatedFn((0.2, 0.9, 1.5), (0.5, 1.0, 2.0)))
+
+    def test_each_keeps_its_identity(self):
+        total, product = SumFn(self.PARTS), ProductFn(self.PARTS)
+        assert total != product and product != total
+        assert total == SumFn(self.PARTS) and hash(total) == hash(SumFn(self.PARTS))
+        assert product == ProductFn(self.PARTS) and hash(product) == hash(ProductFn(self.PARTS))
+        # a frozen dataclass hashes its fields alone, so equal parts give
+        # equal hashes; as keys the two still stay apart
+        assert len({total: 0, product: 1}) == 2
+        assert repr(total).startswith("SumFn(parts=(")
+        assert repr(product).startswith("ProductFn(parts=(")
+        assert repr(total)[len("SumFn"):] == repr(product)[len("ProductFn"):]
+        assert (total.family, product.family) == ("sum", "product")
+
+    def test_three_parts_fold_left_to_right(self):
+        a, b, c = self.PARTS
+        t = np.random.default_rng(23).uniform(0.01, 2.0, 257)
+        assert np.array_equal(SumFn(self.PARTS)(t), (a(t) + b(t)) + c(t))
+        assert np.array_equal(ProductFn(self.PARTS)(t), (a(t) * b(t)) * c(t))
+
+    def test_kinks_are_the_sorted_union(self):
+        for cls in (SumFn, ProductFn):
+            assert cls(self.PARTS).kinks(1.2) == (0.2, 0.4, 0.9, 1.1)
+            assert cls(self.PARTS).kinks(3.0) == (0.2, 0.4, 0.9, 1.1, 1.5, 2.0)
+
+
 def test_function_serialization_roundtrip():
     rng = np.random.default_rng(10)
     from hyperk import draw_positive_function
