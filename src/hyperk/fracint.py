@@ -304,6 +304,7 @@ def _param_table(params: OperatorParams) -> _ParamTable:
 
 def _discretize(
     params: OperatorParams,
+    table: _ParamTable,
     x: float,
     orders: tuple[int, ...],
     kinks: tuple[float, ...] = (),
@@ -324,8 +325,9 @@ def _discretize(
     Prefactors, Jacobi weights, 2F1 node factors and connection
     coefficients all fold into w, so each discretization depends only on
     (params, x, order, kinks) and the operator is exactly linear in f.
-    The panel table and log Gamma(alpha) come from _param_table, once per
-    OperatorParams; the prefactor is formed here, once per point.
+    table is _param_table(params), which the caller has looked up: the
+    panel table and log Gamma(alpha), once per OperatorParams; the
+    prefactor is formed here, once per point.
 
     The pass works on one flat array of every panel's rules at every level,
     the upper panel first, so a point costs a fixed number of whole-array
@@ -351,7 +353,7 @@ def _discretize(
     one term each; each second branch, exponent (k+1)(mu + s + offset) + k,
     keeps its own.
     """
-    panels, _, lg_alpha = _param_table(params)
+    panels, _, lg_alpha = table
     alpha, beta_, mu, k = params.alpha, params.beta, params.mu, params.k
     kp1 = k + 1.0
     inv_kp1 = 1.0 / kp1
@@ -483,18 +485,18 @@ def operator_images(
     behaviour for this integrand.  A non-finite value of f raises
     EvaluationError carrying that node tau.
     """
-    extrapolated = _param_table(params).extrapolated  # validates params; _discretize reuses it
+    table = _param_table(params)  # validates params
     _check_point(x)
     order = _check_order(order)
     fs = tuple(fs)
-    tau, (w_c, w_f) = _discretize(params, x, (order, 2 * order), _union_of_kinks(fs, x))
+    tau, (w_c, w_f) = _discretize(params, table, x, (order, 2 * order), _union_of_kinks(fs, x))
     results = []
     for f in fs:
         values = _finite_values(f, tau, "tau")
         coarse = float(w_c @ values[: w_c.size])
         fine = float(w_f @ values[w_c.size :])
         estimate = abs(fine - coarse)
-        if extrapolated:
+        if table.extrapolated:
             estimate = max(estimate, 1e-10 * abs(fine))
         if not math.isfinite(fine):
             raise EvaluationError(f"operator value is not finite: {fine!r}")

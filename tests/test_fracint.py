@@ -247,7 +247,7 @@ def discretize_levels(params, x, orders, kinks=()):
     """fracint._discretize's (tau, w) pair per level, and whether the panel
     table extrapolates: level i's nodes are the w_i.size entries of the flat
     tau after those of the levels before it."""
-    tau, weights = fracint._discretize(params, x, orders, kinks)
+    tau, weights = fracint._discretize(params, fracint._param_table(params), x, orders, kinks)
     bounds = np.cumsum([0, *(w.size for w in weights)])
     levels = [(tau[i:j], w) for i, j, w in zip(bounds, bounds[1:], weights)]
     return levels, fracint._param_table(params).extrapolated
@@ -440,7 +440,7 @@ class TestParamTable:
         key treats +0.0 and -0.0 as one parameter value."""
         assert first == second
         fracint._param_table.cache_clear()
-        fracint._discretize(first, 0.7, (32, 64), kinks)
+        fracint._discretize(first, fracint._param_table(first), 0.7, (32, 64), kinks)
         warm, warm_extrapolated = discretize_levels(second, 1.3, (32, 64), kinks)
         assert fracint._param_table.cache_info().misses == 1
         fracint._param_table.cache_clear()
@@ -496,7 +496,7 @@ class TestSeriesPlans:
         Kink-free points share a plan; kinked ones only where their cuts do."""
         specfun._first_chunk.cache_clear()
         fracint._param_table.cache_clear()
-        fracint._discretize(first, 1.3 if kinks else 0.7, (32, 64), kinks)
+        fracint._discretize(first, fracint._param_table(first), 1.3 if kinks else 0.7, (32, 64), kinks)
         fracint._param_table.cache_clear()
         warm, _ = discretize_levels(second, 1.3, (32, 64), kinks)
         assert specfun._first_chunk.cache_info()[:2] == (1, 1)

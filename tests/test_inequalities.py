@@ -279,9 +279,9 @@ class TestDiscretizationReuse:
         calls = []
         inner = fracint._discretize
 
-        def counted(params, x, orders, kinks=()):
+        def counted(params, table, x, orders, kinks=()):
             calls.append((orders, kinks))
-            return inner(params, x, orders, kinks)
+            return inner(params, table, x, orders, kinks)
 
         monkeypatch.setattr(fracint, "_discretize", counted)
         return calls
