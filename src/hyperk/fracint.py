@@ -306,25 +306,28 @@ def _discretize(
     params: OperatorParams,
     table: _ParamTable,
     x: float,
-    orders: tuple[int, ...],
+    order: int,
+    depths: tuple[int, ...],
     kinks: tuple[float, ...] = (),
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """(tau, weights): nodes tau in (0, x) and, per entry of orders, weights
+    """(tau, weights): nodes tau in (0, x) and, per entry of depths, weights
     w with I[f](x) ~ w @ f(tau).  tau holds every level's nodes, level after
     level: level i's are the weights[i].size after those of the levels
     before it.
 
-    The first entry n is the coarse level: each panel takes the plain
-    order-n Gauss-Jacobi rule.  Every later entry m is a fine level: each
-    panel takes split_rule at order m // 2, cut at the kinks (points in
-    (0, x) where an integrand's slope may jump) that fall inside it, so no
-    rule of order m is ever built.  A kink tau maps into the upper panel's
-    node variable as v = 2(1 - (tau/x)^(k+1)) when tau > tau_half, and into
-    the lower panels' as t = tau/tau_half when tau < tau_half.
+    Each panel takes split_rule at (order, depth) for each depth: the one
+    Gauss-Jacobi rule of order ceil(order / 2) on [0, 4^-depth sigma] of the
+    panel's node variable.  Depth 0 is the coarse level, uncut; every later
+    depth is a fine level, cut at the kinks (points in (0, x) where an
+    integrand's slope may jump) that fall inside the panel.  A kink tau maps
+    into the upper panel's node variable as v = 2(1 - (tau/x)^(k+1)) when
+    tau > tau_half, and into the lower panels' as t = tau/tau_half when
+    tau < tau_half.
 
     Prefactors, Jacobi weights, 2F1 node factors and connection
     coefficients all fold into w, so each discretization depends only on
-    (params, x, order, kinks) and the operator is exactly linear in f.
+    (params, x, order, depths, kinks) and the operator is exactly linear in
+    f.
     table is _param_table(params), which the caller has looked up: the
     panel table and log Gamma(alpha), once per OperatorParams; the
     prefactor is formed here, once per point.
@@ -383,11 +386,10 @@ def _discretize(
 
     rules = []
     for upper, b_exp, _, _ in panels:
-        coarse = gauss_jacobi_rule(0.0, b_exp, orders[0])
         cuts = cuts_hi if upper else cuts_lo
-        rules += [(coarse.nodes, coarse.weights), *(split_rule(b_exp, m // 2, cuts) for m in orders[1:])]
+        rules += [split_rule(b_exp, order, cuts if depth else (), depth) for depth in depths]
     nodes, rule_w = (np.concatenate(arrays) for arrays in zip(*rules))
-    edges, levels = [0, *accumulate(rule_nodes.size for rule_nodes, _ in rules)], len(orders)
+    edges, levels = [0, *accumulate(rule_nodes.size for rule_nodes, _ in rules)], len(depths)
     hi, lo = slice(0, edges[levels]), slice(edges[levels], None)
     u, one_minus_u, smooth, tau = np.empty((4, nodes.size))
     np.multiply(0.5, nodes[hi], out=one_minus_u[hi])
@@ -489,7 +491,7 @@ def operator_images(
     _check_point(x)
     order = _check_order(order)
     fs = tuple(fs)
-    tau, (w_c, w_f) = _discretize(params, table, x, (order, 2 * order), _union_of_kinks(fs, x))
+    tau, (w_c, w_f) = _discretize(params, table, x, order, (0, 1), _union_of_kinks(fs, x))
     results = []
     for f in fs:
         values = _finite_values(f, tau, "tau")

@@ -53,6 +53,8 @@ MAX_ORDER = 256
 # Legendre panel gets this many nodes
 _SPLIT = 0.25
 _MIN_PANEL_ORDER = 8
+# the order of split_rule's dyadic Legendre panels below sigma
+_DYADIC_ORDER = 12
 
 
 def _load_flapack(path=None):
@@ -159,7 +161,7 @@ def gauss_jacobi_rule(a_exp: float, b_exp: float, order: int) -> JacobiRule:
     a = float(a_exp)
     b = float(b_exp)
     apb = a + b
-    moment0 = beta(b + 1.0, a + 1.0)
+    moment0 = 1.0 / (b + 1.0) if a == 0.0 else beta(b + 1.0, a + 1.0)
 
     if order == 1:
         node = ((b - a) / (apb + 2.0) + 1.0) / 2.0
@@ -220,10 +222,11 @@ def _legendre_rule(order: int) -> JacobiRule:
 
 @lru_cache(maxsize=128)
 def _panel_layout(
-    order: int, cuts: tuple[float, ...]
+    order: int, cuts: tuple[float, ...], depth: int
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """split_rule's sigma and its Legendre panels on [sigma, 1]: the nodes t
-    and the weights without the t^b_exp factor, both read-only."""
+    """split_rule's Legendre panels on [h, 1], h = sigma * 4^-depth: the
+    nodes t and the weights without the t^b_exp factor, both read-only,
+    and h."""
     sigma = min((_SPLIT, *cuts))
     edges = {sigma, 1.0, *cuts}
     point = sigma
@@ -241,6 +244,10 @@ def _panel_layout(
     total = float(np.add.reduce([w for w, s in zip(widths, small) if not s])) or 1.0
     counts = [min_order if s else max(min_order, round(spare * width / total))
               for width, s in zip(widths, small)]
+    # below sigma, 2 * depth dyadic panels [a, 2a] of a fixed order
+    dyadic = [sigma * 0.5 ** j for j in range(2 * depth, 0, -1)]
+    edges, widths = [*dyadic, *edges], [*dyadic, *widths]
+    counts = [_DYADIC_ORDER] * len(dyadic) + counts
     panels = [_legendre_rule(count) for count in counts]
     # each panel's lo and width, repeated over its own rule's nodes (one
     # array of both rows: numpy converts a Python list once, not twice)
@@ -249,36 +256,44 @@ def _panel_layout(
     weights = width * np.concatenate([panel.weights for panel in panels])
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return sigma, nodes, weights
+    return edges[0], nodes, weights
 
 
 @lru_cache(maxsize=128)
 def split_rule(
-    b_exp: float, order: int, cuts: tuple[float, ...] = ()
+    b_exp: float, order: int, cuts: tuple[float, ...] = (), depth: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [0, 1] for the weight t^b_exp, refined by splitting.
 
-    The order-`order` Gauss-Jacobi rule is scaled onto [0, sigma] with
-    sigma = min(1/4, first cut); it comes first, node for node.  Gauss-
-    Legendre panels cover [sigma, 1], split at the cuts and, below 1/4, at
-    sigma, 2 sigma, 4 sigma, ... so that no panel [a, c] with a < 1/4 has
-    c > 2a: t^b_exp is then smooth on each panel at its own scale, and it
-    is folded into the panel's weights.  The panels share `order` nodes in
-    proportion to their length, at least min(8, order) each (a panel
-    whose share falls short takes the minimum out of the others' shares),
-    so with no cuts the rule has exactly 2 * order nodes.  cuts is a tuple
-    of points inside (0, 1), typically where the integrand's slope jumps.
+    The Gauss-Jacobi rule of order ceil(order / 2) is scaled onto [0, h],
+    h = sigma * 4^-depth with sigma = min(1/4, first cut); it comes first,
+    node for node.  Below sigma, 2 * depth dyadic 12-node Gauss-Legendre
+    panels cover [h, sigma].  Gauss-Legendre panels cover [sigma, 1], split
+    at the cuts and, below 1/4, at sigma, 2 sigma, 4 sigma, ... so that no
+    panel [a, c] with a < 1/4 has c > 2a: t^b_exp is then smooth on each
+    panel at its own scale, and it is folded into the panel's weights.  The
+    panels on [sigma, 1] share `order` nodes in proportion to their length,
+    at least min(8, order) each (a panel whose share falls short takes the
+    minimum out of the others' shares), so with no cuts the rule has
+    ceil(order / 2) + 24 * depth + order nodes.  cuts is a tuple of points
+    inside (0, 1), typically where the integrand's slope jumps.
 
-    The panel layout depends only on (order, cuts) and is cached apart,
-    its Legendre rules in a cache of their own, so a fresh b_exp costs the
-    Jacobi rule and one t^b_exp over the panel nodes.
+    Each level of depth takes the half-order rule 4x deeper: on a t^lambda
+    factor at 0 an order-m rule on [0, h] errs by about h^gamma m^(-2 gamma),
+    gamma = 1 + b_exp + lambda, so the order-ceil(order / 2) rule on
+    [0, sigma / 4] has the error of the order-`order` rule on [0, sigma],
+    from a Golub-Welsch eigenproblem of half the size.
+
+    The panel layout depends only on (order, cuts, depth) and is cached
+    apart, its Legendre rules in a cache of their own, so a fresh b_exp
+    costs the Jacobi rule and one t^b_exp over the panel nodes.
     """
     if not all(0.0 < c < 1.0 for c in cuts):
         raise DomainError(f"split_rule requires cuts inside (0, 1), got {cuts!r}")
-    rule = gauss_jacobi_rule(0.0, b_exp, order)
-    sigma, t, w = _panel_layout(order, cuts)
-    nodes = np.concatenate((sigma * rule.nodes, t))
-    weights = np.concatenate((sigma ** (b_exp + 1.0) * rule.weights, w * t ** b_exp))
+    rule = gauss_jacobi_rule(0.0, b_exp, (order + 1) // 2)
+    h, t, w = _panel_layout(order, cuts, depth)
+    nodes = np.concatenate((h * rule.nodes, t))
+    weights = np.concatenate((h ** (b_exp + 1.0) * rule.weights, w * t ** b_exp))
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights

@@ -58,6 +58,23 @@ def oracle_u(params, f, x, dps=30):
     return oracle_images(params, (f,), x, dps)[0]
 
 
+class OracleDisagreement(AssertionError):
+    """The oracle's values at two working precisions disagree."""
+
+
+def checked_oracle_images(params, fs, x, rtol=1e-13):
+    """oracle_images at 45 digits, checked against the same at 30 digits:
+    raises OracleDisagreement unless every image agrees between the two to
+    rtol relative.  A value that moves with the working precision is not
+    converged, so it cannot serve as the truth."""
+    low = oracle_images(params, fs, x, dps=30)
+    high = oracle_images(params, fs, x, dps=45)
+    for lo, hi in zip(low, high):
+        if not abs(lo - hi) <= rtol * abs(hi):
+            raise OracleDisagreement(f"oracle at 30 digits {lo!r}, at 45 digits {hi!r}")
+    return high
+
+
 def oracle_images(params, fs, x, dps=30):
     """[I[f](x) for f in fs], each equal bit for bit to oracle_u(params, f, x).
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import itertools
 import math
@@ -30,9 +31,9 @@ from hyperk import (
     rl_k_integral,
     validate,
 )
-from hyperk import fracint, specfun
+from hyperk import fracint, quadrature, specfun
 from hyperk.fracint import MAX_OPERATOR_ORDER
-from oracles import breakpoints, oracle_images, oracle_u
+from oracles import OracleDisagreement, breakpoints, checked_oracle_images, oracle_images, oracle_u
 
 ONE = PowerFn(1.0, 0.0)
 RL_CASE = OperatorParams(1.0, -1.0, 0.0, 0.0, 0.0, validation_mode=DEFINITION_ONLY)
@@ -243,11 +244,11 @@ PATH_CASES = {
 }
 
 
-def discretize_levels(params, x, orders, kinks=()):
+def discretize_levels(params, x, order, kinks=(), depths=(0, 1)):
     """fracint._discretize's (tau, w) pair per level, and whether the panel
     table extrapolates: level i's nodes are the w_i.size entries of the flat
     tau after those of the levels before it."""
-    tau, weights = fracint._discretize(params, fracint._param_table(params), x, orders, kinks)
+    tau, weights = fracint._discretize(params, fracint._param_table(params), x, order, depths, kinks)
     bounds = np.cumsum([0, *(w.size for w in weights)])
     levels = [(tau[i:j], w) for i, j, w in zip(bounds, bounds[1:], weights)]
     return levels, fracint._param_table(params).extrapolated
@@ -293,25 +294,25 @@ class TestOperatorImages:
 
 
 # sha256 of each level's tau bytes then w bytes, level after level, at 1.3:
-# no kinks at (16, 32) and (64, 128), then kinks (0.4, 0.9, 1.25) at both
+# no kinks at orders 16 and 64, then kinks (0.4, 0.9, 1.25) at both
 DISCRETIZE_DIGESTS = {
     "split": [
-        "f7592a12398e79730742605ff475e9d204e6e104c51a2cf8edeb1df3027bd1b3",
-        "a2d56f10caa4bd88958ef1e86468419ff6197580e1acae285771539202e0f374",
-        "56b5f3ca2e38c78b5ed6257928525dcbb7ff61ab7ba8c1a1e1ae8fcc3e67fe62",
-        "1fe79053723f37f5eb3952a0e9818d8b39d08617e2a3315c84e572dbba05fef9",
+        "96e443a864a9936f3c2c1e22d187b277da3974a1c2394862c908bd6a2750314c",
+        "89fb5edb3cdffe9e3c8c9280826f2b37a1b2bc55f63ca632c5791fc245c620b1",
+        "872c1cb90fe78df00484a5aeb376d0d051ba3c8bc7651283e09c17f6e7ff1581",
+        "4e38f6797dc19e7d3c16b7c6c7700812020a9b149c99aed813e52329eafc4f1f",
     ],
     "terminating": [
-        "f2549b2a0f9306802898295c5562f5e3f22045a728a2722da905eac28f3dbfc4",
-        "6342cb13593b8dd242cde0f585e1ad400fcd768cde1e209dde3da671ce3a6d87",
-        "363ce806b80c8c77d2984c34c5ef150cec7b8ef5f82503e5e58df8405d888136",
-        "ccd9e0d6653fb1d985a75fce7c54bd59f850cbad6841a4491b1a140231ce7572",
+        "ca3093c53f66584bc2361f08bd615fc10cba6aa002b1b6da7d773ebe10d20ff9",
+        "d2dbcc9e5fea8d44107c06bc3bbb05c365e0fdde2061761f2415dbdd8ee50a49",
+        "4de80a2c31ab21c0befaac2eb99b8ef7aebd56693576c73f83c06948af771930",
+        "23f9b530108fcb107feb814a3c0d7d7c4477f41692784ac9870a49770d5bdc00",
     ],
     "nudged": [
-        "8bf782c85af90876f8af485956bfb9621de4bced9d3c31cd04f10c54aaab7cb6",
-        "054f27b3aace1974a9ddb70394a3229fd26b167392d27cb80d96eb2a5d453ce1",
-        "b5f51bae4852d3c00bcb3efd990590f12705b88184de479695674aa0483de07f",
-        "0fe1e264acf4a26461959d17229fb97034a96d2e4c09c3404929b8d5bcbbe7c0",
+        "6be0e5b571a9a311d585a082c8764c610e6e9925b136e184ab7aa4d0a987dcc2",
+        "fc8667dd1df1c7dc2bf6c50ca244f43a346a86babbad1774f611cfd5b2b78208",
+        "e3cecbfab2834bd5ed1746273e8ca8c02574c7b2f8b725f40cb0cf79c5219429",
+        "9bc94ecaea58bb6b38b309ffff84022e6aad206deeb7ecb02bba830f6c828d94",
     ],
 }
 
@@ -319,25 +320,29 @@ DISCRETIZE_DIGESTS = {
 class TestDiscretize:
     @pytest.mark.parametrize("path", PATH_CASES)
     def test_levels_equal_single_order_builds(self, path):
-        """The coarse level is bit for bit order n built alone.  Without
-        kinks the fine level has twice its nodes, and its first n are the
-        upper panel's order-n rule scaled onto [0, 1/4] of v = 2(1 - u)."""
+        """Each level is bit for bit its depth built alone.  Without kinks a
+        panel has n/2 + n nodes at the coarse level and n/2 + 24 + n at the
+        fine one, and each level's first n/2 are the upper panel's order-n/2
+        rule scaled onto [0, 4^-(depth+1)] of v = 2(1 - u): [0, 1/4], then
+        [0, 1/16]."""
         params = PATH_CASES[path]
-        levels, _ = discretize_levels(params, 1.3, (64, 128))
+        levels, _ = discretize_levels(params, 1.3, 64)
         assert len(levels) == 2
-        (tau_c, w_c), (tau_f, w_f) = levels
-        tau_alone, w_alone = discretize_levels(params, 1.3, (64,))[0][0]
-        assert np.array_equal(tau_c, tau_alone)
-        assert np.array_equal(w_c, w_alone)
-        assert tau_f.shape == w_f.shape == (2 * tau_c.size,)
-        v = 0.25 * gauss_jacobi_rule(0.0, params.alpha - 1.0, 64).nodes
-        assert np.array_equal(tau_f[:64], 1.3 * (1.0 - 0.5 * v) ** (1.0 / (params.k + 1.0)))
+        panels = len(fracint._param_table(params).panels)
+        rule = gauss_jacobi_rule(0.0, params.alpha - 1.0, 32)
+        for depth, (tau, w) in enumerate(levels):
+            tau_alone, w_alone = discretize_levels(params, 1.3, 64, depths=(depth,))[0][0]
+            assert np.array_equal(tau, tau_alone)
+            assert np.array_equal(w, w_alone)
+            assert tau.shape == w.shape == ((32 + 24 * depth + 64) * panels,)
+            v = 0.25 ** (depth + 1) * rule.nodes
+            assert np.array_equal(tau[:32], 1.3 * (1.0 - 0.5 * v) ** (1.0 / (params.k + 1.0)))
 
     @pytest.mark.parametrize("path", PATH_CASES)
     def test_kinks_split_only_the_fine_level(self, path):
         params = PATH_CASES[path]
-        plain, _ = discretize_levels(params, 1.3, (64, 128))
-        split, _ = discretize_levels(params, 1.3, (64, 128), (0.4, 0.9, 1.25))
+        plain, _ = discretize_levels(params, 1.3, 64)
+        split, _ = discretize_levels(params, 1.3, 64, (0.4, 0.9, 1.25))
         assert np.array_equal(split[0][0], plain[0][0])
         assert np.array_equal(split[0][1], plain[0][1])
         assert not np.array_equal(split[1][0], plain[1][0])
@@ -345,12 +350,12 @@ class TestDiscretize:
     @pytest.mark.parametrize("path", PATH_CASES)
     def test_bits_are_pinned(self, path):
         """Every node and weight of both levels, with and without kinks, at
-        orders (16, 32) and (64, 128), bit for bit.  The bytes are hashed:
-        == would take a weight of -0.0 for +0.0."""
+        orders 16 and 64, bit for bit.  The bytes are hashed: == would take
+        a weight of -0.0 for +0.0."""
         digests = []
-        for kinks, orders in itertools.product(((), (0.4, 0.9, 1.25)), ((16, 32), (64, 128))):
+        for kinks, order in itertools.product(((), (0.4, 0.9, 1.25)), (16, 64)):
             digest = hashlib.sha256()
-            for tau, w in discretize_levels(PATH_CASES[path], 1.3, orders, kinks)[0]:
+            for tau, w in discretize_levels(PATH_CASES[path], 1.3, order, kinks)[0]:
                 digest.update(tau.tobytes())
                 digest.update(w.tobytes())
             digests.append(digest.hexdigest())
@@ -373,27 +378,32 @@ class TestDiscretize:
 
         monkeypatch.setattr(fracint, "_series_2f1_vec", counted)
         apply_operator(PATH_CASES[path], ONE, 1.3, order=16)
-        assert calls == [[16 + 32] * blocks]
+        assert calls == [[(8 + 16) + (8 + 24 + 16)] * blocks]
 
     @pytest.mark.parametrize("path,panels", [("split", 3), ("terminating", 2), ("nudged", 6)])
     def test_one_rule_lookup_per_panel(self, path, panels, monkeypatch):
-        """The operator looks up each panel's coarse Jacobi rule once (the
-        fine level's rules come from split_rule), and no coarse node
-        repeats: the nudged path's four eta offsets share one first
-        connection panel."""
+        """Each panel looks up one Jacobi rule, of order n/2, at each of the
+        two levels, and no coarse Jacobi node repeats: the nudged path's four
+        eta offsets share one first connection panel.  The lower panels'
+        uncut Legendre panels on [1/4, 1] of t are one and the same."""
         lookups = []
-        inner = fracint.gauss_jacobi_rule
+        inner = quadrature.gauss_jacobi_rule
 
+        @functools.wraps(inner)
         def counted(a_exp, b_exp, order):
-            lookups.append(b_exp)
+            lookups.append((a_exp, b_exp, order))
             return inner(a_exp, b_exp, order)
 
-        monkeypatch.setattr(fracint, "gauss_jacobi_rule", counted)
+        monkeypatch.setattr(quadrature, "gauss_jacobi_rule", counted)
+        quadrature.split_rule.cache_clear()
         apply_operator(PATH_CASES[path], ONE, 1.3)
-        assert len(lookups) == panels
-        (tau_c, _), (tau_f, _) = discretize_levels(PATH_CASES[path], 1.3, (64, 128))[0]
-        assert tau_c.size == np.unique(tau_c).size == 64 * panels
-        assert tau_f.size == 128 * panels
+        assert len(lookups) == 2 * panels
+        assert len(set(lookups)) == panels
+        assert {order for _, _, order in lookups} == {32}
+        (tau_c, _), (tau_f, _) = discretize_levels(PATH_CASES[path], 1.3, 64)[0]
+        assert tau_c.size == (32 + 64) * panels
+        assert np.unique(tau_c).size == tau_c.size - 64 * (panels - 2)
+        assert tau_f.size == (32 + 24 + 64) * panels
 
     def test_terminating_wins_over_an_integer_gap(self, monkeypatch):
         """a = -1 and s = 2: the 2F1 is a polynomial, so the lower half is one
@@ -409,7 +419,7 @@ class TestDiscretize:
         monkeypatch.setattr(fracint, "_series_2f1_vec", counted)
         res = apply_operator(params, ONE, 1.3)
         assert calls == [2]
-        assert discretize_levels(params, 1.3, (64, 128))[1] is False
+        assert discretize_levels(params, 1.3, 64)[1] is False
         assert res.error_estimate < 1e-12 * res.value
         assert res.value == pytest.approx(operator_of_one(params, 1.3), rel=1e-13)
 
@@ -440,11 +450,11 @@ class TestParamTable:
         key treats +0.0 and -0.0 as one parameter value."""
         assert first == second
         fracint._param_table.cache_clear()
-        fracint._discretize(first, fracint._param_table(first), 0.7, (32, 64), kinks)
-        warm, warm_extrapolated = discretize_levels(second, 1.3, (32, 64), kinks)
+        fracint._discretize(first, fracint._param_table(first), 0.7, 32, (0, 1), kinks)
+        warm, warm_extrapolated = discretize_levels(second, 1.3, 32, kinks)
         assert fracint._param_table.cache_info().misses == 1
         fracint._param_table.cache_clear()
-        cold, cold_extrapolated = discretize_levels(second, 1.3, (32, 64), kinks)
+        cold, cold_extrapolated = discretize_levels(second, 1.3, 32, kinks)
         assert warm_extrapolated is cold_extrapolated is (name.startswith("nudged"))
         for (tau_w, w_w), (tau_c, w_c) in zip(warm, cold, strict=True):
             assert np.array_equal(tau_w, tau_c)
@@ -496,22 +506,23 @@ class TestSeriesPlans:
         Kink-free points share a plan; kinked ones only where their cuts do."""
         specfun._first_chunk.cache_clear()
         fracint._param_table.cache_clear()
-        fracint._discretize(first, fracint._param_table(first), 1.3 if kinks else 0.7, (32, 64), kinks)
+        fracint._discretize(first, fracint._param_table(first), 1.3 if kinks else 0.7, 32, (0, 1), kinks)
         fracint._param_table.cache_clear()
-        warm, _ = discretize_levels(second, 1.3, (32, 64), kinks)
+        warm, _ = discretize_levels(second, 1.3, 32, kinks)
         assert specfun._first_chunk.cache_info()[:2] == (1, 1)
         specfun._first_chunk.cache_clear()
         fracint._param_table.cache_clear()
-        cold, _ = discretize_levels(second, 1.3, (32, 64), kinks)
+        cold, _ = discretize_levels(second, 1.3, 32, kinks)
         for (tau_w, w_w), (tau_c, w_c) in zip(warm, cold, strict=True):
             assert np.array_equal(tau_w, tau_c)
             assert np.array_equal(w_w, w_c)
 
     def test_one_build_per_plan(self, monkeypatch):
         """A sweep of 3 points times the 7 function families over one
-        parameter set builds each series plan once: one for the six
-        kink-free families at every point, one per point for the tabulated
-        family, whose cuts move the fine level's largest node."""
+        parameter set builds each series plan once: one for every call
+        whose largest nodes are the uncut coarse level's, and one for the
+        tabulated family at x = 1.25, whose cuts leave a fine Legendre panel
+        with a larger node there (at 0.5 and 2.0 they do not)."""
         keys = []
         cached = specfun._first_chunk
 
@@ -525,7 +536,7 @@ class TestSeriesPlans:
             for f in SWEEP_FNS:
                 apply_operator(PATH_CASES["nudged"], f, x, order=16)
         assert len(keys) == 21
-        assert cached.cache_info()[:2] == (21 - 4, 4) == (21 - len(set(keys)), len(set(keys)))
+        assert cached.cache_info()[:2] == (21 - 2, 2) == (21 - len(set(keys)), len(set(keys)))
 
 
 # Cross-validation against the independent extended-precision oracle.
@@ -589,7 +600,9 @@ def test_oracle_images_equal_oracle_u():
 # apply_operator values recorded while the nudged path still extrapolated
 # the whole operator rather than its lower half: the integer and
 # near-integer gap ORACLE_CASES, and the bench operator_grid's nudged set at
-# x = 1.25 with its seed-0 integrands
+# x = 1.25 with its seed-0 integrands.  The PowerFn value is re-recorded
+# from the fine level's order-n/2 rules on [0, sigma/4]: its t^0.23 branch
+# point moved it by 2e-7, inside its 2.6e-4 error estimate
 NUDGED_ORACLE_PINS = {
     "integer gap s=0": 0.9510657456724925,
     "integer gap s=-1": 4.979719490924397,
@@ -604,7 +617,7 @@ NUDGED_GRID = OperatorParams(0.8, 0.2, -0.5 + 3e-7, 0.3, 1.0)
 NUDGED_GRID_PINS = [
     (AffineFn(0.9263691315788141, 0.2949270999386131), 3.186551513626843),
     (ExpFn(1.9266528899835322, -0.04242362157799251), 5.494750881376749),
-    (PowerFn(1.9605175639293018, 0.23394987943700446), 4.576338467554074),
+    (PowerFn(1.9605175639293018, 0.23394987943700446), 4.57633756379065),
     (TabulatedFn((0.0, 0.7680311796193239, 0.907802916727844, 1.4876488094112768, 2.0),
                  (0.49730374283171497, 1.7780030994283502, 0.5397641710683442,
                   1.1981603811812032, 2.3126020265464855)), 2.783275865843536),
@@ -652,6 +665,66 @@ def test_error_estimate_bounds_the_true_error_at_kinks(seed, tid):
     res = apply_operator(inst.params, inst.f, inst.x)
     want = oracle_u(inst.params, inst.f, inst.x)
     assert abs(res.value - want) <= max(res.error_estimate, 1e-13 * abs(want))
+
+
+def test_checked_oracle_rejects_values_that_move_with_precision():
+    """The f-image of random_instance(11, "3.2") moves by 5e-12 between 30
+    and 45 digits, so the checked oracle refuses it; a converged image
+    comes back at 45 digits."""
+    inst = random_instance(11, "3.2")
+    with pytest.raises(OracleDisagreement):
+        checked_oracle_images(inst.params, (inst.f,), inst.x)
+    inst = random_instance(18, "3.1")
+    assert checked_oracle_images(inst.params, (inst.f,), inst.x) == oracle_images(
+        inst.params, (inst.f,), inst.x, dps=45)
+
+
+def order_n_split_rule(b_exp, order, cuts=(), depth=1):
+    """The levels before split_rule took a half-order rule one level deeper:
+    the plain order-n Gauss-Jacobi rule at depth 0, and at depth 1 that
+    rule scaled onto [0, sigma] ahead of the same Legendre panels on
+    [sigma, 1]."""
+    rule = gauss_jacobi_rule(0.0, b_exp, order)
+    if depth == 0:
+        return rule.nodes, rule.weights
+    sigma, t, w = quadrature._panel_layout(order, cuts, 0)
+    return (np.concatenate((sigma * rule.nodes, t)),
+            np.concatenate((sigma ** (b_exp + 1.0) * rule.weights, w * t ** b_exp)))
+
+
+def has_branch_point(fn):
+    """Whether fn contains a PowerFn factor, t^p at tau = 0."""
+    parts = getattr(fn, "parts", ()) + ((fn.base,) if isinstance(fn, PowFn) else ())
+    return isinstance(fn, PowerFn) or any(map(has_branch_point, parts))
+
+
+# generator images (seed, theorem, f or g) with errors above round-off: a
+# panel exponent below -0.8, or a lower panel exponent of 2 or more with a
+# t^p branch point in the integrand
+GRADED_IMAGES = [(1, "4.2", "f"), (3, "4.2", "f"), (18, "3.1", "f"), (15, "4.2", "f"),
+                 (17, "3.2", "g"), (4, "4.2", "g"), (0, "4.4", "f"), (20, "3.2", "g"),
+                 (2, "4.1", "f"), (13, "3.1", "f"), (4, "4.2", "f"), (3, "4.1", "f")]
+
+
+@pytest.mark.slow
+def test_half_order_levels_are_as_accurate_as_order_n(monkeypatch):
+    """Each image's true error, against the two-precision oracle, is at most
+    twice that of the order-n Gauss-Jacobi construction (order_n_split_rule)
+    or within 1e-14 relative of the truth."""
+    singular = branch = 0
+    for seed, tid, which in GRADED_IMAGES:
+        inst = random_instance(seed, tid)
+        fn = getattr(inst, which)
+        exponents = [b_exp for _, b_exp, _, _ in fracint._param_table(inst.params).panels]
+        singular += min(exponents) < -0.8
+        branch += max(exponents[1:]) >= 2.0 and has_branch_point(fn)
+        truth = checked_oracle_images(inst.params, (fn,), inst.x)[0]
+        value = apply_operator(inst.params, fn, inst.x).value
+        with monkeypatch.context() as patch:
+            patch.setattr(fracint, "split_rule", order_n_split_rule)
+            reference = apply_operator(inst.params, fn, inst.x).value
+        assert abs(value - truth) <= max(2.0 * abs(reference - truth), 1e-14 * abs(truth)), (seed, tid)
+    assert singular >= 3 and branch >= 3
 
 
 class TestOperatorOfOne:

@@ -40,21 +40,21 @@ PINNED_SEEDS = {"3.1": 7, "3.2": 11, "4.1": 13, "4.2": 17, "4.3": 19, "4.4": 23}
 # combined_error of the pinned checks and of the proof steps of
 # random_instance(29, "3.1"), with the fine level split at the kinks
 GOLDEN_ERRORS = {
-    "3.1": 0.0002300635635687159,
-    "3.2": 3.176048224290456e-06,
-    "4.1": 6.477856376083656e-10,
-    "4.2": 0.00022611580640403078,
-    "4.3": 1.7867552330825755e-14,
-    "4.4": 1.0641025908097435e-12,
+    "3.1": 1.3602338622024056e-05,
+    "3.2": 3.1736340740580338e-06,
+    "4.1": 6.363129239785016e-10,
+    "4.2": 0.0002629568340512683,
+    "4.3": 5.9179690593480755e-15,
+    "4.4": 1.0356427940279983e-12,
 }
 GOLDEN_STEP_ERRORS = {
-    "3.5": 7.502288071763124e-11,
-    "3.8": 1.1767315795001146e-11,
-    "4.15": 7.502288071763124e-11,
-    "4.18": 2.0700932261843873e-11,
-    "4.20": 3.0910854652647965e-09,
-    "4.22": 4.182938003705677e-08,
-    "4.23": 1.0710289889451247e-09,
+    "3.5": 7.198434873689268e-11,
+    "3.8": 1.1285312358778623e-11,
+    "4.15": 7.198434873689268e-11,
+    "4.18": 1.9845402174634313e-11,
+    "4.20": 2.9659282493839835e-09,
+    "4.22": 4.013556432992111e-08,
+    "4.23": 1.0272776707526876e-09,
 }
 
 
@@ -271,17 +271,17 @@ class TestProofSteps:
 
 class TestDiscretizationReuse:
     """Every check builds the operator's discretization at both refinement
-    levels (orders n and 2n) in one call, split at the union of f's and g's
-    kinks, and reuses it for all of its images."""
+    levels (depths 0 and 1 at order n) in one call, split at the union of
+    f's and g's kinks, and reuses it for all of its images."""
 
     @pytest.fixture
     def discretize_calls(self, monkeypatch):
         calls = []
         inner = fracint._discretize
 
-        def counted(params, table, x, orders, kinks=()):
-            calls.append((orders, kinks))
-            return inner(params, table, x, orders, kinks)
+        def counted(params, table, x, order, depths, kinks=()):
+            calls.append((order, depths, kinks))
+            return inner(params, table, x, order, depths, kinks)
 
         monkeypatch.setattr(fracint, "_discretize", counted)
         return calls
@@ -294,12 +294,12 @@ class TestDiscretizationReuse:
     def test_each_checker_discretizes_twice(self, tid, discretize_calls):
         inst = random_instance(PINNED_SEEDS[tid], tid)
         CHECKERS[tid](inst)
-        assert discretize_calls == [((64, 128), self.union_of_kinks(inst))]
+        assert discretize_calls == [(64, (0, 1), self.union_of_kinks(inst))]
 
     def test_proof_steps_discretize_twice(self, discretize_calls):
         inst = random_instance(29, "3.1")
         check_proof_steps(inst)
-        assert discretize_calls == [((64, 128), self.union_of_kinks(inst))]
+        assert discretize_calls == [(64, (0, 1), self.union_of_kinks(inst))]
 
 
 class TestRunSuite:
@@ -316,7 +316,7 @@ class TestRunSuite:
                       row.verdict, row.note, None if row.instance is None else row.instance.to_dict()]
             digest.update(json.dumps(values).encode() + b"\n")
         assert digest.hexdigest() == (
-            "530046464075a7539899a48610ee7cf6c3ec83584e9d0e692f8b0d2fd74db588")
+            "afb343ffcabc72daa6d745ba5d275d23ed7eced08e5db03c312ce40398102c8e")
 
     def test_single_trial_equals_single_check(self):
         row = run_suite(["3.2"], trials=1, base_seed=9)[0]

@@ -83,12 +83,14 @@ def recurrence_loop(a, b, order):
 ])
 def test_rules_match_loop_recurrence(a_exp, b_exp):
     """Same arithmetic as the loop, so nodes and weights are bit-identical,
-    at a + b = 0 and a + b = -1 (closed-form first entries) too."""
+    at a + b = 0 and a + b = -1 (closed-form first entries) too.  The zeroth
+    moment is 1 / (b + 1) in closed form at a = 0."""
+    moment0 = 1.0 / (b_exp + 1.0) if a_exp == 0.0 else beta(b_exp + 1.0, a_exp + 1.0)
     for order in (2, 3, 64, 128):
         rule = gauss_jacobi_rule(a_exp, b_exp, order)
         vals, vecs = eigh_tridiagonal(*recurrence_loop(a_exp, b_exp, order))
         assert np.array_equal(rule.nodes, (vals + 1.0) / 2.0)
-        assert np.array_equal(rule.weights, beta(b_exp + 1.0, a_exp + 1.0) * vecs[0, :] ** 2)
+        assert np.array_equal(rule.weights, moment0 * vecs[0, :] ** 2)
 
 
 @pytest.mark.parametrize("b_exp", [-0.95, -0.5, 0.0, 2.0, 3.0])
@@ -380,21 +382,26 @@ SPLIT_EXPONENTS = [-0.95, -0.5, 0.0, 2.0, 3.0]
 SPLIT_CUTS = [(), (0.01,), (0.4, 0.7), (0.1, 0.3, 0.55, 0.8)]
 
 
-def split_moment_errors(b_exp, cuts, degrees):
-    nodes, weights = split_rule(b_exp, 64, cuts)
+def split_moment_errors(b_exp, cuts, degrees, depth=1):
+    nodes, weights = split_rule(b_exp, 64, cuts, depth)
     return [abs(float(weights @ nodes ** j) * (b_exp + j + 1.0) - 1.0) for j in degrees]
 
 
 @pytest.mark.parametrize("b_exp", SPLIT_EXPONENTS)
 def test_split_rule_without_cuts_halves_the_interval(b_exp):
-    """The order-64 rule scaled onto [0, 1/4] comes first, then 64
-    Legendre nodes on [1/4, 1]; t^b moments stay exact to degree 127."""
-    nodes, weights = split_rule(b_exp, 64)
-    rule = gauss_jacobi_rule(0.0, b_exp, 64)
-    assert nodes.size == weights.size == 128
-    assert np.array_equal(nodes[:64], 0.25 * rule.nodes)
-    assert np.array_equal(weights[:64], 0.25 ** (b_exp + 1.0) * rule.weights)
-    assert max(split_moment_errors(b_exp, (), range(128))) <= 1e-12
+    """At depth 0 and 1 the order-32 rule scaled onto [0, 4^-(depth+1)]
+    comes first, then two 12-node Legendre panels [1/16, 1/8] and [1/8, 1/4]
+    at depth 1, then 64 Legendre nodes on [1/4, 1]; t^b moments stay exact
+    to degree 127."""
+    rule = gauss_jacobi_rule(0.0, b_exp, 32)
+    for depth in (0, 1):
+        nodes, weights = split_rule(b_exp, 64, (), depth)
+        h = 0.25 ** (depth + 1)
+        assert nodes.size == weights.size == 32 + 24 * depth + 64
+        assert np.array_equal(nodes[:32], h * rule.nodes)
+        assert np.array_equal(weights[:32], h ** (b_exp + 1.0) * rule.weights)
+        assert nodes[32] > h and nodes[-65] < 0.25 < nodes[-64]
+        assert max(split_moment_errors(b_exp, (), range(128), depth)) <= 1e-12
 
 
 @pytest.mark.parametrize("cuts", SPLIT_CUTS[1:])
@@ -425,6 +432,32 @@ def test_split_rule_integrates_kinks_at_its_cuts(b_exp, cuts):
         assert float(weights @ np.abs(nodes - c)) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("b_exp", [-0.9, -0.5, 0.3, 2.0, 4.0])
+def test_half_order_rule_a_level_deeper_keeps_the_leading_error(b_exp):
+    """split_rule's premise: on t^lambda e^-t against t^b, the order-n/2
+    rule on [0, h/4] has the leading error of the order-n rule on [0, h].
+    An order-m rule errs by about c h^gamma N^(-2 gamma), gamma = 1 + b +
+    lambda, with N = m + (b + 1)/2 the order its nodes' Bessel asymptotics
+    see; c agrees within 10% between the two, and the half-order rule is
+    no less accurate."""
+    n, h = 24, 1.0
+
+    def error(order, width, lam):
+        rule = gauss_jacobi_rule(0.0, b_exp, order)
+        t = width * rule.nodes
+        got = width ** (b_exp + 1.0) * float(rule.weights @ (t ** lam * np.exp(-t)))
+        with mp.workdps(30):
+            return got - float(mp.gammainc(b_exp + lam + 1.0, 0, width))
+
+    for lam in (0.1, 0.78, 1.3):
+        gamma = 1.0 + b_exp + lam
+        full, half = error(n, h, lam), error(n // 2, h / 4.0, lam)
+        lead_full = full * (n + (b_exp + 1.0) / 2.0) ** (2.0 * gamma) / h ** gamma
+        lead_half = half * (n / 2.0 + (b_exp + 1.0) / 2.0) ** (2.0 * gamma) / (h / 4.0) ** gamma
+        assert abs(lead_half / lead_full - 1.0) <= 0.1, lam
+        assert abs(half) <= abs(full), lam
+
+
 @pytest.mark.parametrize("cuts", [(0.0,), (0.5, 1.0), (-0.2,)])
 def test_split_rule_rejects_cuts_outside_the_interval(cuts):
     with pytest.raises(DomainError):
@@ -443,7 +476,7 @@ def test_split_rule_bits_are_pinned():
     """Every node and weight of the order-64 split rules, bit for bit."""
     digest = _digest(split_rule(b, 64, cuts)
                      for b, cuts in itertools.product(SPLIT_EXPONENTS, SPLIT_CUTS))
-    assert digest == "eedb7e73236a79af8a80a9968006076e494b13e3e35aee7a45dd880fd1af40ea"
+    assert digest == "19b3a30c7ad0b0e514e8ae0cb5d1c349af21f716c556e8bc1c691a83bd81f70c"
 
 
 def test_jacobi_rule_bits_are_pinned():
@@ -451,13 +484,14 @@ def test_jacobi_rule_bits_are_pinned():
              for a, b in [(0.0, 0.0), (0.0, -0.95), (-0.5, 0.5), (0.3, -0.7), (2.0, 3.0)]
              for n in (1, 2, 3, 7, 16, 33, 64, 128))
     digest = _digest((rule.nodes, rule.weights) for rule in rules)
-    assert digest == "8791b7c89dfc8a4d880723e27f8931c25965dabf219cee19882fdb462fccf4e6"
+    assert digest == "1541658ba98b352bee11c8b9b2d35c8a72964435e4001318c24be00d4351d169"
 
 
 def test_campaign_checks_solve_three_rules_each(monkeypatch):
-    """240 campaign checks from cold caches: each builds the order-64 Jacobi
-    rules of its three panels, and each Legendre panel order is solved
-    once, however many fresh Jacobi rules come between its uses."""
+    """240 campaign checks from cold caches: each builds the order-32 Jacobi
+    rules of its three panels, one per panel for both levels, and none of
+    order 64, and each Legendre panel order is solved once, however many
+    fresh Jacobi rules come between its uses."""
     stevd = quadrature._stevd
     solves = []
 
@@ -476,15 +510,16 @@ def test_campaign_checks_solve_three_rules_each(monkeypatch):
         _suite_row(64, task)
     jacobi = [size for size, legendre in solves if not legendre]
     legendre = [size for size, legendre in solves if legendre]
-    assert jacobi == [64] * (3 * len(checks))
+    assert jacobi == [32] * (3 * len(checks))
     assert legendre and len(legendre) == len(set(legendre))
 
 
 def test_campaign_checks_build_each_plan_once(monkeypatch):
     """240 campaign checks from cold caches: each builds one parameter
-    table, one first-chunk series plan and three order-64 Jacobi rules,
-    and a panel layout is built at most once per distinct cut tuple, so no
-    part of a check's cold path is built twice."""
+    table, one first-chunk series plan and three order-32 Jacobi rules,
+    and a panel layout is built at most once per distinct cut tuple and
+    depth, the coarse level's always uncut, so no part of a check's cold
+    path is built twice."""
     from hyperk import fracint, specfun
 
     stevd = quadrature._stevd
@@ -519,8 +554,9 @@ def test_campaign_checks_build_each_plan_once(monkeypatch):
         per_check.append({kind: len(log) - before[kind] for kind, log in built.items()})
     for kind, count in (("table", 1), ("chunk", 1), ("jacobi", 3)):
         assert [counts[kind] for counts in per_check] == [count] * len(per_check), kind
-    assert set(built["jacobi"]) == {64}
+    assert set(built["jacobi"]) == {32}
     layouts = built["layout"]
     assert len(layouts) == len(set(layouts))
-    assert [cuts for _, cuts in layouts if not cuts] == [()]
-    assert any(len(cuts) > 0 for _, cuts in layouts)
+    assert [(cuts, depth) for _, cuts, depth in layouts if not cuts] == [((), 0), ((), 1)]
+    assert any(len(cuts) > 0 for _, cuts, _ in layouts)
+    assert all(depth == 1 for _, cuts, depth in layouts if cuts)
