@@ -40,16 +40,21 @@ own second-branch panel; the upper half has no connection coefficients and
 stays at the true eta.  So the nudged path has 6 panels and 9 series
 terms: 1 upper, then 2 per offset.
 
-w is built at two levels.  The coarse level gives each panel its order-n
-Gauss-Jacobi rule.  The fine level refines each panel by splitting it
-rather than by doubling the order (quadrature.split_rule): the same
-order-n rule, scaled onto [0, 1/4] of the panel's node variable, keeps the
-endpoint singularity, and Gauss-Legendre panels share n more nodes over
-[1/4, 1], cut at the integrands' kinks.  For a t^lambda branch point at
-the panel's singular end the scaled rule has 4^-(1+b+lambda) times the
-error of the unscaled one, the same factor that doubling the order gives,
-so only the kinks change what the fine level resolves; and no rule of
-order 2n, the costliest eigenproblem of a check, is ever built.
+w is built at two levels from one Gauss-Jacobi rule of order n/2 per
+panel (quadrature.split_rule at depths 0 and 1), which keeps the endpoint
+singularity, with Gauss-Legendre panels over the rest of the panel's node
+variable.  The coarse level scales the rule onto [0, 1/4] and adds one
+order-n Legendre panel on [1/4, 1].  The fine level refines by splitting
+rather than by raising the order: the rule goes onto [0, sigma/4], two
+12-node Legendre panels cover [sigma/4, sigma], and Legendre panels
+sharing n nodes cover [sigma, 1], cut at the integrands' kinks (sigma =
+min(1/4, first cut)).  For a t^lambda branch point at the panel's
+singular end an order-m rule on [0, h] errs by about h^gamma m^(-2 gamma),
+gamma = 1 + b + lambda, so the order-n/2 rule on [0, h/4] has the error of
+the order-n rule on [0, h]: each level keeps the singular-end error of an
+order-n rule, the fine one 4^-gamma times the coarse one's without kinks,
+and no rule of order n or more, the costliest eigenproblems of a check, is
+built.  A kink-free panel has 3n + 24 nodes over both levels.
 operator_images builds both levels in one pass and evaluates each
 integrand once on both node sets, so one discretization serves every image
 of a check; apply_operator is its one-integrand case.  The panel table is
@@ -124,13 +129,13 @@ class OperatorResult:
     """Operator value with the refinement-based error estimate.
 
     ``value`` is the fine level's and ``error_estimate`` is its difference
-    from the coarse level's, the plain order-n rules.  ``order_used`` is
-    2n, the fine level's node count per kink-free panel; a panel split at
-    kinks has about that many, since its pieces' proportional shares are
-    rounded: at order 64, from 2n - 1 to 2n + 24 were seen over random
-    layouts of 1-3 cuts.  Near an integer gap, where the lower
-    half is extrapolated across eta offsets, the estimate is at least 1e-10
-    times |value|, the extrapolation's bias allowance.
+    from the coarse level's.  ``order_used`` is 2n: on a t^lambda branch
+    point at a kink-free panel's singular end, the fine level has the
+    error of one order-2n Gauss-Jacobi rule over the whole panel (the
+    order-n/2 rule on [0, 1/16]), from n/2 + 24 + n nodes.  Near an
+    integer gap, where the lower half is extrapolated across eta offsets,
+    the estimate is at least 1e-10 times |value|, the extrapolation's bias
+    allowance.
     """
 
     value: float
@@ -327,8 +332,7 @@ def _discretize(
     Prefactors, Jacobi weights, 2F1 node factors and connection
     coefficients all fold into w, so each discretization depends only on
     (params, x, order, depths, kinks) and the operator is exactly linear in
-    f.
-    table is _param_table(params), which the caller has looked up: the
+    f.  table is _param_table(params), which the caller has looked up: the
     panel table and log Gamma(alpha), once per OperatorParams; the
     prefactor is formed here, once per point.
 
@@ -481,11 +485,10 @@ def operator_images(
     so an image equals its one-integrand call bit for bit only when the
     integrands share their kinks.  Each ``f`` must accept a numpy array of
     points in (0, x] and evaluate elementwise; it is called once, on the
-    nodes of both levels.  The result is the fine level's value (2*order
-    nodes per kink-free panel) and the error estimate is its difference
-    from the plain order-n rules, so it reflects the actual refinement
-    behaviour for this integrand.  A non-finite value of f raises
-    EvaluationError carrying that node tau.
+    nodes of both levels.  The result is the fine level's value and the
+    error estimate is its difference from the coarse level's, so it
+    reflects the actual refinement behaviour for this integrand.  A
+    non-finite value of f raises EvaluationError carrying that node tau.
     """
     table = _param_table(params)  # validates params
     _check_point(x)
@@ -568,8 +571,8 @@ def rl_k_integral(
             * integral_0^x (x^(k+1) - t^(k+1))^(alpha-1) t^k f(t) dt,
 
     via u = (t/x)^(k+1) and the same half split the main operator uses,
-    each half with one Gauss-Jacobi rule of order 2*order (the node count
-    of the operator's fine level, which splits its panels instead).  The
+    each half with one Gauss-Jacobi rule of order 2*order (the order whose
+    singular-end error the operator's fine level matches by splitting).  The
     main operator degenerates to exactly this at beta = -alpha,
     mu = eta = 0; the code stays separate from _discretize so that the
     reduction checks compare two independent implementations.

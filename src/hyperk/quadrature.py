@@ -20,15 +20,17 @@ alone, the ordinary import serves.  The fortran object is the one
 get_lapack_funcs("stevd", dtype=float64) returns, so rules keep their bits.
 
 split_rule refines a Jacobi rule by splitting its interval instead of
-doubling its order (graded hp quadrature; Schwab, p- and hp-FEM, 1998):
-the order-n rule, scaled onto [0, sigma], keeps the t^b_exp singularity,
-and Legendre panels, graded toward sigma and split at given cuts, cover
-[sigma, 1] where t^b_exp is smooth.  The panel layout does not depend on
-b_exp, so it is cached per (order, cuts), and its Gauss-Legendre rules
-have a cache of their own, kept for the whole process: a campaign draws
-fresh Jacobi exponents for every check, and in the shared cache they
-would evict the few Legendre orders that every check uses.  The last 128
-split rules are cached as well.
+raising its order (graded hp quadrature; Schwab, p- and hp-FEM, 1998):
+one rule of order n/2, scaled onto [0, 4^-depth sigma], keeps the t^b_exp
+singularity with the error of the order-n rule on [0, 4^(1-depth) sigma],
+and Legendre panels, graded dyadically toward it and split at given
+cuts, cover the rest of [0, 1], where t^b_exp is smooth.  So no rule of
+order n is built for any depth.  The panel layout does not depend on
+b_exp, so it is cached per (order, cuts, depth), and its Gauss-Legendre
+rules have a cache of their own, kept for the whole process: a campaign
+draws fresh Jacobi exponents for every check, and in the shared cache
+they would evict the few Legendre orders that every check uses.  The last
+128 split rules are cached as well.
 """
 
 from __future__ import annotations
@@ -278,11 +280,10 @@ def split_rule(
     ceil(order / 2) + 24 * depth + order nodes.  cuts is a tuple of points
     inside (0, 1), typically where the integrand's slope jumps.
 
-    Each level of depth takes the half-order rule 4x deeper: on a t^lambda
-    factor at 0 an order-m rule on [0, h] errs by about h^gamma m^(-2 gamma),
-    gamma = 1 + b_exp + lambda, so the order-ceil(order / 2) rule on
-    [0, sigma / 4] has the error of the order-`order` rule on [0, sigma],
-    from a Golub-Welsch eigenproblem of half the size.
+    On a t^lambda factor at 0 an order-m rule on [0, h] errs by about
+    h^gamma m^(-2 gamma), gamma = 1 + b_exp + lambda, so the half-order
+    rule on [0, h] has the error of the order-`order` rule on [0, 4h], from
+    an eigenproblem of half the size.
 
     The panel layout depends only on (order, cuts, depth) and is cached
     apart, its Legendre rules in a cache of their own, so a fresh b_exp
