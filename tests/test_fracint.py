@@ -292,6 +292,56 @@ class TestOperatorImages:
             operator_images(strict_params(2), [ONE, blows_up, ONE], x)
         assert 0.0 < exc_info.value.node < x
 
+    @pytest.mark.parametrize("path", PATH_CASES)
+    def test_values_are_pinned(self, path):
+        """float.hex of (value, error_estimate) at 1.3, orders 16 then 64:
+        the two smooth integrands (no kinks), then all three (the tabulated
+        one's kinks cut every image's fine level)."""
+        got = [(r.value.hex(), r.error_estimate.hex())
+               for order in (16, 64) for fns in (IMAGE_FNS[:2], IMAGE_FNS)
+               for r in operator_images(PATH_CASES[path], fns, 1.3, order)]
+        assert got == IMAGE_PINS[path]
+
+
+IMAGE_PINS = {
+    "split": [
+        ("0x1.301ac3faf2676p+1", "0x1.0000000000000p-51"),
+        ("0x1.32877eab2f08cp+1", "0x1.1e18280000000p-30"),
+        ("0x1.301ac3faf276dp+1", "0x1.f000000000000p-44"),
+        ("0x1.32877eab2f1b2p+1", "0x1.1e21580000000p-30"),
+        ("0x1.8d5b6165030e7p+0", "0x1.c7908169df000p-12"),
+        ("0x1.301ac3faf2670p+1", "0x1.0000000000000p-51"),
+        ("0x1.32877eab34fe7p+1", "0x1.7800000000000p-43"),
+        ("0x1.301ac3faf2671p+1", "0x0.0p+0"),
+        ("0x1.32877eab34feap+1", "0x1.7b00000000000p-43"),
+        ("0x1.8d5b616503033p+0", "0x1.502c760e50000p-15"),
+    ],
+    "terminating": [
+        ("0x1.39038e505fa98p+1", "0x1.38e3a60000000p-25"),
+        ("0x1.db6da3a93e93ap+0", "0x1.677c71a000000p-25"),
+        ("0x1.39038e5064784p+1", "0x1.38d06b0000000p-25"),
+        ("0x1.db6da3a94c0dfp+0", "0x1.6797664000000p-25"),
+        ("0x1.085e24c964924p+1", "0x1.019e7f67e5000p-10"),
+        ("0x1.39038e4cc2085p+1", "0x1.6607000000000p-34"),
+        ("0x1.db6da3aee5790p+0", "0x1.7d5a800000000p-35"),
+        ("0x1.39038e4cc208ap+1", "0x1.6604800000000p-34"),
+        ("0x1.db6da3aee5798p+0", "0x1.7d5e800000000p-35"),
+        ("0x1.085e24c69c850p+1", "0x1.2dd1eb3ae0000p-15"),
+    ],
+    "nudged": [
+        ("0x1.a2cc08adf5950p+2", "0x1.67be6f9544e27p-31"),
+        ("0x1.3af955af23ba0p+2", "0x1.84160dc000000p-21"),
+        ("0x1.a2cc08adf4e48p+2", "0x1.67be6f95444adp-31"),
+        ("0x1.3af955af23739p+2", "0x1.8415ea8800000p-21"),
+        ("0x1.4a4ae1f07d84dp+2", "0x1.1ee22cabb9000p-10"),
+        ("0x1.a2cc08adf5948p+2", "0x1.67be6f9544e20p-31"),
+        ("0x1.3af955dba820dp+2", "0x1.37fbb80000000p-29"),
+        ("0x1.a2cc08adf597ap+2", "0x1.67be6f9544e4bp-31"),
+        ("0x1.3af955dba8242p+2", "0x1.37fd600000000p-29"),
+        ("0x1.4a4ae1f07f32fp+2", "0x1.d8e5b44c90000p-14"),
+    ],
+}
+
 
 # sha256 of each level's tau bytes then w bytes, level after level, at 1.3:
 # no kinks at orders 16 and 64, then kinks (0.4, 0.9, 1.25) at both
