@@ -54,13 +54,14 @@ gamma = 1 + b + lambda, so the order-n/2 rule on [0, h/4] has the error of
 the order-n rule on [0, h]: each level keeps the singular-end error of an
 order-n rule, the fine one 4^-gamma times the coarse one's without kinks,
 and no rule of order n or more, the costliest eigenproblems of a check, is
-built.  A kink-free panel has 3n + 24 nodes over both levels.
-operator_images builds both levels in one pass and evaluates each
-integrand once on both node sets, so one discretization serves every image
-of a check; apply_operator is its one-integrand case.  The panel table is
-cached per OperatorParams, and a point works on one flat array of every
-panel's nodes at every level, so its number of whole-array steps does not
-grow with the number of panels or levels.
+built.  A kink-free panel has 3n + 24 nodes over both levels, 2n + 24 of
+them distinct.  operator_images builds both levels in one pass and
+evaluates each integrand once on their distinct nodes, so one
+discretization serves every image of a check; apply_operator is its
+one-integrand case.  The panel table is cached per OperatorParams, and a
+point works on one flat array of every panel's distinct nodes, so its
+number of whole-array steps does not grow with the number of panels or
+levels.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import DomainError, EvaluationError, ValidationError
-from .quadrature import MAX_ORDER, _finite_values, gauss_jacobi_rule, integrate, split_rule
+from .quadrature import MAX_ORDER, _finite_values, _panel_layout, gauss_jacobi_rule, integrate, split_rule
 from .specfun import _connection, _is_nonpositive_integer, _series_2f1_vec, gauss_2f1, log_gamma
 
 __all__ = [
@@ -314,11 +315,11 @@ def _discretize(
     order: int,
     depths: tuple[int, ...],
     kinks: tuple[float, ...] = (),
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """(tau, weights): nodes tau in (0, x) and, per entry of depths, weights
-    w with I[f](x) ~ w @ f(tau).  tau holds every level's nodes, level after
-    level: level i's are the weights[i].size after those of the levels
-    before it.
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """(tau, index, weights): distinct nodes tau in (0, x), an index map and,
+    per entry of depths, weights w with I[f](x) ~ w @ f(tau)[index][level]:
+    tau[index] holds every level's nodes, level after level, level i's the
+    weights[i].size after those of the levels before it.
 
     Each panel takes split_rule at (order, depth) for each depth: the one
     Gauss-Jacobi rule of order ceil(order / 2) on [0, 4^-depth sigma] of the
@@ -336,13 +337,18 @@ def _discretize(
     panel table and log Gamma(alpha), once per OperatorParams; the
     prefactor is formed here, once per point.
 
-    The pass works on one flat array of every panel's rules at every level,
-    the upper panel first, so a point costs a fixed number of whole-array
-    steps whatever the number of panels and levels: the node formulas on the
-    upper panel's slice and on the lower panels', one series call with one
-    parameter block per series term, and the weights as one product (each
-    block's scale, repeated, times the rule weights, the smooth factor and
-    the 2F1 values), a panel's further terms added to it in term order.  The
+    Each piece of a point is held once (_node_maps, cached per structure):
+    a panel's Jacobi head at each depth and its Legendre layout at each cut
+    flag, whose shallower depths are tails of its deepest (without kinks the
+    coarse layout is the fine one's tail); the lower panels after the first
+    take their layouts' tau from the first's.  So a point works on one flat
+    array of every panel's pieces, the upper panel first, and costs a fixed
+    number of whole-array steps whatever the number of panels and levels:
+    the node formulas on the upper panel's slice and on the lower panels',
+    one series call with one parameter block per series term, the weights
+    as one product (each block's scale, repeated, times the rule weights,
+    the smooth factor and the 2F1 values), a panel's further terms added to
+    it in term order, and one gather into the levels' node order.  The
     series call stops once, at the first term where every node of every
     block has converged, and past a node's own stop the further terms are
     below half an ulp of its sum on the arguments up to 1/2 that the panels
@@ -388,13 +394,13 @@ def _discretize(
     log_hi = log_pre + ((kp1 * (mu + alpha - 1.0) + k + 1.0) * lx - log(kp1) - alpha * _LOG2)
     log_lo = log_pre + ((kp1 * mu + k + 1.0) * log(tau_half) + kp1 * (alpha - 1.0) * lx)
 
-    rules = []
-    for upper, b_exp, _, _ in panels:
-        cuts = cuts_hi if upper else cuts_lo
-        rules += [split_rule(b_exp, order, cuts if depth else (), depth) for depth in depths]
-    nodes, rule_w = (np.concatenate(arrays) for arrays in zip(*rules))
-    edges, levels = [0, *accumulate(rule_nodes.size for rule_nodes, _ in rules)], len(depths)
-    hi, lo = slice(0, edges[levels]), slice(edges[levels], None)
+    cuts = {(upper, depth): (cuts_hi if upper else cuts_lo) if depth else ()
+            for upper in (True, False) for depth in depths}
+    rules = [split_rule(b_exp, order, cuts[upper, depth], depth) for upper, b_exp, _, _ in panels for depth in depths]
+    tails = tuple((bool(c), _panel_layout(order, c, depth)[1].size) for (_, depth), c in cuts.items())
+    pick, edges, distinct, w_map, tau_map, bounds = _node_maps(tuple(nodes.size for nodes, _ in rules), tails)
+    nodes, rule_w = np.concatenate([array for rule in rules for array in rule]).take(pick)
+    hi, lo = slice(0, edges[1]), slice(edges[1], None)
     u, one_minus_u, smooth, tau = np.empty((4, nodes.size))
     np.multiply(0.5, nodes[hi], out=one_minus_u[hi])
     np.subtract(1.0, one_minus_u[hi], out=u[hi])
@@ -407,7 +413,7 @@ def _discretize(
     # parameters, z), every panel's first term first, as the panels lie
     blocks = []
     for i, (upper, _, in_u, terms) in enumerate(panels):
-        span = slice(edges[i * levels], edges[(i + 1) * levels])
+        span = slice(edges[i], edges[i + 1])
         log_base = log_hi if upper else log_lo
         blocks += [(j > 0, span, coef * exp(log_base + log_c - shift), *abc, (u if in_u else one_minus_u)[span])
                    for j, (coef, log_c, shift, abc) in enumerate(terms)]
@@ -423,11 +429,45 @@ def _discretize(
     for span, start in zip(further, accumulate((s.stop - s.start for s in further), initial=nodes.size)):
         w[span] += w[start : start + span.stop - span.start]
 
-    # level after level, each panel's slice of it in panel order
-    order = [slice(edges[k], edges[k + 1]) for level in range(levels) for k in range(level, len(rules), levels)]
-    tau, w = (np.concatenate([array[span] for span in order]) for array in (tau, w))
-    ends = [*accumulate(span.stop - span.start for span in order)][len(panels) - 1 :: len(panels)]
-    return tau, [w[i:j] for i, j in zip([0, *ends], ends)]
+    w = w.take(w_map)
+    return tau.take(distinct), tau_map, [w[i:j] for i, j in zip(bounds, bounds[1:])]
+
+
+@lru_cache(maxsize=64)
+def _node_maps(sizes: tuple[int, ...], tails: tuple[tuple[bool, int], ...]) -> tuple:
+    """_discretize's read-only index maps for rules of sizes[r] nodes, each
+    panel's level after level, whose layouts are tails[i] = (cut?, nodes) at
+    level i of the upper panel, then of each lower one: the rules' positions
+    of each panel's pieces' nodes and weights, the panel edges, the pieces
+    whose tau is kept, and every level's pieces, tau places and bounds."""
+    levels = len(tails) // 2
+    starts = [0, *accumulate(2 * n for n in sizes)]  # a rule's nodes, then its weights
+    pick, shift, source, edges, levels_w = [], [], [], [0], [[] for _ in range(levels)]
+    for p in range(0, len(sizes), levels):
+        rules, side, longest, at = range(p, p + levels), tails[levels * (p > 0) :], {}, {}
+        for r, (cut, n) in zip(rules, side):  # the last of the longest layouts at each cut flag
+            if n >= side[longest.get(cut, r) - p][1]:
+                longest[cut] = r
+        for r, (cut, n) in zip(rules, side):
+            at[r], count = len(pick), sizes[r] - (longest[cut] != r) * n
+            pick += range(starts[r], starts[r] + count)
+            shift += [sizes[r]] * count
+        source += range(edges[-1], len(pick))
+        ends = {cut: (at[r] + sizes[r], side[r - p][1]) for cut, r in longest.items()}
+        for w_map, r, (cut, n) in zip(levels_w, rules, side):
+            w_map += [*range(at[r], at[r] + sizes[r] - n), *range(ends[cut][0] - n, ends[cut][0])]
+        if p > levels:  # a later lower panel: its layouts' tau are the first's
+            for cut, (end, n) in ends.items():
+                source[end - n : end] = source[first[cut][0] - n : first[cut][0]]
+        elif p:
+            first = ends
+        edges.append(len(pick))
+    distinct, place = np.unique(source, return_inverse=True)
+    w_map = np.concatenate(levels_w)
+    maps = (np.array((pick, np.add(pick, shift))), distinct, w_map, place[w_map])
+    for array in maps:
+        array.flags.writeable = False
+    return maps[0], edges, *maps[1:], [0, *accumulate(map(len, levels_w))]
 
 
 def _nudge_offsets(params: OperatorParams) -> list[tuple[float, float]]:
@@ -485,8 +525,8 @@ def operator_images(
     so an image equals its one-integrand call bit for bit only when the
     integrands share their kinks.  Each ``f`` must accept a numpy array of
     points in (0, x] and evaluate elementwise; it is called once, on the
-    nodes of both levels.  The result is the fine level's value and the
-    error estimate is its difference from the coarse level's, so it
+    distinct nodes of both levels.  The result is the fine level's value and
+    the error estimate is its difference from the coarse level's, so it
     reflects the actual refinement behaviour for this integrand.  A
     non-finite value of f raises EvaluationError carrying that node tau.
     """
@@ -494,10 +534,10 @@ def operator_images(
     _check_point(x)
     order = _check_order(order)
     fs = tuple(fs)
-    tau, (w_c, w_f) = _discretize(params, table, x, order, (0, 1), _union_of_kinks(fs, x))
+    tau, index, (w_c, w_f) = _discretize(params, table, x, order, (0, 1), _union_of_kinks(fs, x))
     results = []
     for f in fs:
-        values = _finite_values(f, tau, "tau")
+        values = _finite_values(f, tau, "tau").take(index)
         coarse = float(w_c @ values[: w_c.size])
         fine = float(w_f @ values[w_c.size :])
         estimate = abs(fine - coarse)

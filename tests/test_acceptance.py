@@ -7,6 +7,7 @@ module-scoped fixture; criterion 8 repeats the invocation itself to prove
 byte-level determinism of the report file.
 """
 
+import hashlib
 import itertools
 import math
 import time
@@ -216,3 +217,13 @@ def test_criterion_8_campaign_is_deterministic(campaign, tmp_path):
     code, _ = run_campaign(second_path)
     assert code == 0
     assert second_path.read_bytes() == first_path.read_bytes()
+
+
+@pytest.mark.slow
+def test_seed_42_report_is_pinned(campaign):
+    """The campaign's report hashes to the sha256 the README gives for the
+    seed-42 suite; a change that moves it moves the campaign's numerics."""
+    path, code, _ = campaign
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "70df7edf025cc2f4724012965255e413c87c72b1c48882447e8704475b8b45f7")

@@ -246,9 +246,10 @@ PATH_CASES = {
 
 def discretize_levels(params, x, order, kinks=(), depths=(0, 1)):
     """fracint._discretize's (tau, w) pair per level, and whether the panel
-    table extrapolates: level i's nodes are the w_i.size entries of the flat
-    tau after those of the levels before it."""
-    tau, weights = fracint._discretize(params, fracint._param_table(params), x, order, depths, kinks)
+    table extrapolates: level i's nodes are the w_i.size entries of the
+    gathered tau after those of the levels before it."""
+    tau, index, weights = fracint._discretize(params, fracint._param_table(params), x, order, depths, kinks)
+    tau = tau.take(index)
     bounds = np.cumsum([0, *(w.size for w in weights)])
     levels = [(tau[i:j], w) for i, j, w in zip(bounds, bounds[1:], weights)]
     return levels, fracint._param_table(params).extrapolated
@@ -291,6 +292,26 @@ class TestOperatorImages:
         with pytest.raises(EvaluationError) as exc_info:
             operator_images(strict_params(2), [ONE, blows_up, ONE], x)
         assert 0.0 < exc_info.value.node < x
+
+    @pytest.mark.parametrize("kinks", [(), (0.4, 0.9, 1.25)])
+    @pytest.mark.parametrize("path,distinct", [("split", 368), ("terminating", 304), ("nudged", 560)])
+    def test_each_integrand_runs_once_on_distinct_nodes(self, path, distinct, kinks):
+        """One call per integrand on both levels' nodes, none of them
+        repeated; without kinks, 368, 304 and 560 of them at order 64."""
+        calls = []
+
+        class Recorded:
+            def kinks(self, x):
+                return kinks
+
+            def __call__(self, t):
+                calls.append(t.copy())
+                return np.exp(t)
+
+        operator_images(PATH_CASES[path], [Recorded(), Recorded()], 1.3)
+        assert len(calls) == 2 and np.array_equal(calls[0], calls[1])
+        assert np.unique(calls[0]).size == calls[0].size
+        assert calls[0].size == distinct or kinks
 
     @pytest.mark.parametrize("path", PATH_CASES)
     def test_values_are_pinned(self, path):
@@ -418,7 +439,9 @@ class TestDiscretize:
         term.  The nudged path has 9 blocks on 6 panels: one upper panel, at
         the true eta, the first connection panel that the four eta offsets
         share, one block per offset, and one second-branch panel per
-        offset."""
+        offset.  Without kinks a block holds each level's order-n/2 head
+        and the fine level's layout once: the coarse level's order-n
+        Legendre panel on [1/4, 1] is its tail."""
         calls = []
         inner = fracint._series_2f1_vec
 
@@ -428,14 +451,16 @@ class TestDiscretize:
 
         monkeypatch.setattr(fracint, "_series_2f1_vec", counted)
         apply_operator(PATH_CASES[path], ONE, 1.3, order=16)
-        assert calls == [[(8 + 16) + (8 + 24 + 16)] * blocks]
+        assert calls == [[(8 + 16) + (8 + 24)] * blocks]
 
     @pytest.mark.parametrize("path,panels", [("split", 3), ("terminating", 2), ("nudged", 6)])
     def test_one_rule_lookup_per_panel(self, path, panels, monkeypatch):
         """Each panel looks up one Jacobi rule, of order n/2, at each of the
-        two levels, and no coarse Jacobi node repeats: the nudged path's four
-        eta offsets share one first connection panel.  The lower panels'
-        uncut Legendre panels on [1/4, 1] of t are one and the same."""
+        two levels, and no node repeats in the returned tau: the nudged
+        path's four eta offsets share one first connection panel, a level's
+        uncut layout is the other's tail, and the lower panels share their
+        layouts in t.  So tau holds the upper and first lower panels' 152
+        nodes each (32 + 32 + 24 + 64) and every further panel's 64 heads."""
         lookups = []
         inner = quadrature.gauss_jacobi_rule
 
@@ -450,10 +475,11 @@ class TestDiscretize:
         assert len(lookups) == 2 * panels
         assert len(set(lookups)) == panels
         assert {order for _, _, order in lookups} == {32}
-        (tau_c, _), (tau_f, _) = discretize_levels(PATH_CASES[path], 1.3, 64)[0]
-        assert tau_c.size == (32 + 64) * panels
-        assert np.unique(tau_c).size == tau_c.size - 64 * (panels - 2)
-        assert tau_f.size == (32 + 24 + 64) * panels
+        params = PATH_CASES[path]
+        tau, _, (w_c, w_f) = fracint._discretize(params, fracint._param_table(params), 1.3, 64, (0, 1))
+        distinct = {"split": 368, "terminating": 304, "nudged": 560}[path]
+        assert np.unique(tau).size == tau.size == distinct == 2 * 152 + 64 * (panels - 2)
+        assert (w_c.size, w_f.size) == ((32 + 64) * panels, (32 + 24 + 64) * panels)
 
     def test_terminating_wins_over_an_integer_gap(self, monkeypatch):
         """a = -1 and s = 2: the 2F1 is a polynomial, so the lower half is one
@@ -729,15 +755,19 @@ def test_checked_oracle_rejects_values_that_move_with_precision():
         inst.params, (inst.f,), inst.x, dps=45)
 
 
+def order_n_layout(order, cuts=(), depth=1):
+    """The Legendre layout of order_n_split_rule: none at depth 0, and at
+    depth 1 split_rule's depth-0 layout on [sigma, 1]."""
+    return quadrature._panel_layout(order, cuts, depth - 1) if depth else (1.0, np.empty(0), np.empty(0))
+
+
 def order_n_split_rule(b_exp, order, cuts=(), depth=1):
     """The levels before split_rule took a half-order rule one level deeper:
     the plain order-n Gauss-Jacobi rule at depth 0, and at depth 1 that
     rule scaled onto [0, sigma] ahead of the same Legendre panels on
     [sigma, 1]."""
     rule = gauss_jacobi_rule(0.0, b_exp, order)
-    if depth == 0:
-        return rule.nodes, rule.weights
-    sigma, t, w = quadrature._panel_layout(order, cuts, 0)
+    sigma, t, w = order_n_layout(order, cuts, depth)
     return (np.concatenate((sigma * rule.nodes, t)),
             np.concatenate((sigma ** (b_exp + 1.0) * rule.weights, w * t ** b_exp)))
 
@@ -760,7 +790,8 @@ GRADED_IMAGES = [(1, "4.2", "f"), (3, "4.2", "f"), (18, "3.1", "f"), (15, "4.2",
 def test_half_order_levels_are_as_accurate_as_order_n(monkeypatch):
     """Each image's true error, against the two-precision oracle, is at most
     twice that of the order-n Gauss-Jacobi construction (order_n_split_rule)
-    or within 1e-14 relative of the truth."""
+    or within 1e-14 relative of the truth.  _discretize reads each rule's
+    layout from _panel_layout, so the construction brings its own."""
     singular = branch = 0
     for seed, tid, which in GRADED_IMAGES:
         inst = random_instance(seed, tid)
@@ -772,6 +803,7 @@ def test_half_order_levels_are_as_accurate_as_order_n(monkeypatch):
         value = apply_operator(inst.params, fn, inst.x).value
         with monkeypatch.context() as patch:
             patch.setattr(fracint, "split_rule", order_n_split_rule)
+            patch.setattr(fracint, "_panel_layout", order_n_layout)
             reference = apply_operator(inst.params, fn, inst.x).value
         assert abs(value - truth) <= max(2.0 * abs(reference - truth), 1e-14 * abs(truth)), (seed, tid)
     assert singular >= 3 and branch >= 3
