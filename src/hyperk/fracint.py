@@ -317,9 +317,9 @@ def _discretize(
     kinks: tuple[float, ...] = (),
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """(tau, index, weights): distinct nodes tau in (0, x), an index map and,
-    per entry of depths, weights w with I[f](x) ~ w @ f(tau)[index][level]:
-    tau[index] holds every level's nodes, level after level, level i's the
-    weights[i].size after those of the levels before it.
+    per entry of depths, weights w.  tau[index] holds every level's nodes,
+    level after level, level i's the weights[i].size after those of the
+    levels before it, and I[f](x) ~ w @ f(tau[index]) on that slice.
 
     Each panel takes split_rule at (order, depth) for each depth: the one
     Gauss-Jacobi rule of order ceil(order / 2) on [0, 4^-depth sigma] of the
@@ -454,8 +454,8 @@ def _node_maps(sizes: tuple[int, ...], tails: tuple[tuple[bool, int], ...]) -> t
             shift += [sizes[r]] * count
         source += range(edges[-1], len(pick))
         ends = {cut: (at[r] + sizes[r], side[r - p][1]) for cut, r in longest.items()}
-        for w_map, r, (cut, n) in zip(levels_w, rules, side):
-            w_map += [*range(at[r], at[r] + sizes[r] - n), *range(ends[cut][0] - n, ends[cut][0])]
+        for level, r, (cut, n) in zip(levels_w, rules, side):
+            level += [*range(at[r], at[r] + sizes[r] - n), *range(ends[cut][0] - n, ends[cut][0])]
         if p > levels:  # a later lower panel: its layouts' tau are the first's
             for cut, (end, n) in ends.items():
                 source[end - n : end] = source[first[cut][0] - n : first[cut][0]]
@@ -467,7 +467,7 @@ def _node_maps(sizes: tuple[int, ...], tails: tuple[tuple[bool, int], ...]) -> t
     maps = (np.array((pick, np.add(pick, shift))), distinct, w_map, place[w_map])
     for array in maps:
         array.flags.writeable = False
-    return maps[0], edges, *maps[1:], [0, *accumulate(map(len, levels_w))]
+    return maps[0], tuple(edges), *maps[1:], (0, *accumulate(map(len, levels_w)))
 
 
 def _nudge_offsets(params: OperatorParams) -> list[tuple[float, float]]:

@@ -311,7 +311,8 @@ class TestOperatorImages:
         operator_images(PATH_CASES[path], [Recorded(), Recorded()], 1.3)
         assert len(calls) == 2 and np.array_equal(calls[0], calls[1])
         assert np.unique(calls[0]).size == calls[0].size
-        assert calls[0].size == distinct or kinks
+        if not kinks:
+            assert calls[0].size == distinct
 
     @pytest.mark.parametrize("path", PATH_CASES)
     def test_values_are_pinned(self, path):
