@@ -40,15 +40,15 @@ own second-branch panel; the upper half has no connection coefficients and
 stays at the true eta.  So the nudged path has 6 panels and 9 series
 terms: 1 upper, then 2 per offset.
 
-w is built at two levels from one Gauss-Jacobi rule of order n/2 per
-panel (quadrature.split_rule at depths 0 and 1), which keeps the endpoint
-singularity, with Gauss-Legendre panels over the rest of the panel's node
-variable.  The coarse level scales the rule onto [0, 1/4] and adds one
-order-n Legendre panel on [1/4, 1].  The fine level refines by splitting
-rather than by raising the order: the rule goes onto [0, sigma/4], two
-12-node Legendre panels cover [sigma/4, sigma], and Legendre panels
-sharing n nodes cover [sigma, 1], cut at the integrands' kinks (sigma =
-min(1/4, first cut)).  For a t^lambda branch point at the panel's
+w is built at two levels by one quadrature.split_rule call per panel
+(depths 0 and 1) from one Gauss-Jacobi rule of order n/2, which keeps the
+endpoint singularity, with Gauss-Legendre panels over the rest of the
+panel's node variable.  The coarse level scales the rule onto [0, 1/4] and
+adds one order-n Legendre panel on [1/4, 1].  The fine level refines by
+splitting rather than by raising the order: the rule goes onto [0,
+sigma/4], two 12-node Legendre panels cover [sigma/4, sigma], and Legendre
+panels sharing n nodes cover [sigma, 1], cut at the integrands' kinks
+(sigma = min(1/4, first cut)).  For a t^lambda branch point at the panel's
 singular end an order-m rule on [0, h] errs by about h^gamma m^(-2 gamma),
 gamma = 1 + b + lambda, so the order-n/2 rule on [0, h/4] has the error of
 the order-n rule on [0, h]: each level keeps the singular-end error of an
@@ -78,7 +78,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import DomainError, EvaluationError, ValidationError
-from .quadrature import MAX_ORDER, _finite_values, _panel_layout, gauss_jacobi_rule, integrate, split_rule
+from .quadrature import MAX_ORDER, _finite_values, gauss_jacobi_rule, integrate, split_rule
 from .specfun import _connection, _is_nonpositive_integer, _series_2f1_vec, gauss_2f1, log_gamma
 
 __all__ = [
@@ -321,7 +321,7 @@ def _discretize(
     level after level, level i's the weights[i].size after those of the
     levels before it, and I[f](x) ~ w @ f(tau[index]) on that slice.
 
-    Each panel takes split_rule at (order, depth) for each depth: the one
+    Each panel takes one split_rule call at (order, depths): the one
     Gauss-Jacobi rule of order ceil(order / 2) on [0, 4^-depth sigma] of the
     panel's node variable.  Depth 0 is the coarse level, uncut; every later
     depth is a fine level, cut at the kinks (points in (0, x) where an
@@ -337,23 +337,22 @@ def _discretize(
     panel table and log Gamma(alpha), once per OperatorParams; the
     prefactor is formed here, once per point.
 
-    Each piece of a point is held once (_node_maps, cached per structure):
-    a panel's Jacobi head at each depth and its Legendre layout at each cut
-    flag, whose shallower depths are tails of its deepest (without kinks the
-    coarse layout is the fine one's tail); the lower panels after the first
-    take their layouts' tau from the first's.  So a point works on one flat
-    array of every panel's pieces, the upper panel first, and costs a fixed
-    number of whole-array steps whatever the number of panels and levels:
-    the node formulas on the upper panel's slice and on the lower panels',
-    one series call with one parameter block per series term, the weights
-    as one product (each block's scale, repeated, times the rule weights,
-    the smooth factor and the 2F1 values), a panel's further terms added to
-    it in term order, and one gather into the levels' node order.  The
-    series call stops once, at the first term where every node of every
-    block has converged, and past a node's own stop the further terms are
-    below half an ulp of its sum on the arguments up to 1/2 that the panels
-    pass (the terminating panel's polynomial ends in zero terms), so each
-    block and level gets the weights it gets when built alone, bit for bit.
+    Each piece of a point is held once: split_rule holds a panel's head at
+    each depth and each distinct layout once, and the later lower panels
+    take their layouts' tau from the first's (_node_maps, cached per spans).
+    So a point works on split_rule's arrays as they come, the upper panel
+    first, and costs a fixed number of whole-array steps whatever the number
+    of panels and levels: the node formulas on the upper panel's slice and
+    on the lower panels', one series call with one parameter block per
+    series term, the weights as one product (each block's scale, repeated,
+    times the rule weights, the smooth factor and the 2F1 values), a panel's
+    further terms added to it in term order, and one gather into the levels'
+    node order.  The series call stops once, at the first term where every
+    node of every block has converged, and past a node's own stop the
+    further terms are below half an ulp of its sum on the arguments up to
+    1/2 that the panels pass (the terminating panel's polynomial ends in
+    zero terms), so each block and level gets the weights it gets when built
+    alone, bit for bit.
 
     The panel table, one panel per Jacobi rule, alone decides the path.
     The upper panel, free of connection coefficients, is built at the true
@@ -394,12 +393,10 @@ def _discretize(
     log_hi = log_pre + ((kp1 * (mu + alpha - 1.0) + k + 1.0) * lx - log(kp1) - alpha * _LOG2)
     log_lo = log_pre + ((kp1 * mu + k + 1.0) * log(tau_half) + kp1 * (alpha - 1.0) * lx)
 
-    cuts = {(upper, depth): (cuts_hi if upper else cuts_lo) if depth else ()
-            for upper in (True, False) for depth in depths}
-    rules = [split_rule(b_exp, order, cuts[upper, depth], depth) for upper, b_exp, _, _ in panels for depth in depths]
-    tails = tuple((bool(c), _panel_layout(order, c, depth)[1].size) for (_, depth), c in cuts.items())
-    pick, edges, distinct, w_map, tau_map, bounds = _node_maps(tuple(nodes.size for nodes, _ in rules), tails)
-    nodes, rule_w = np.concatenate([array for rule in rules for array in rule]).take(pick)
+    nodes, rule_w, levels = zip(*(split_rule(b_exp, order, cuts_hi if upper else cuts_lo, depths)
+                                 for upper, b_exp, _, _ in panels))
+    edges, distinct, w_map, tau_map, bounds = _node_maps(levels)
+    nodes, rule_w = np.concatenate(nodes), np.concatenate(rule_w)
     hi, lo = slice(0, edges[1]), slice(edges[1], None)
     u, one_minus_u, smooth, tau = np.empty((4, nodes.size))
     np.multiply(0.5, nodes[hi], out=one_minus_u[hi])
@@ -434,40 +431,24 @@ def _discretize(
 
 
 @lru_cache(maxsize=64)
-def _node_maps(sizes: tuple[int, ...], tails: tuple[tuple[bool, int], ...]) -> tuple:
-    """_discretize's read-only index maps for rules of sizes[r] nodes, each
-    panel's level after level, whose layouts are tails[i] = (cut?, nodes) at
-    level i of the upper panel, then of each lower one: the rules' positions
-    of each panel's pieces' nodes and weights, the panel edges, the pieces
-    whose tau is kept, and every level's pieces, tau places and bounds."""
-    levels = len(tails) // 2
-    starts = [0, *accumulate(2 * n for n in sizes)]  # a rule's nodes, then its weights
-    pick, shift, source, edges, levels_w = [], [], [], [0], [[] for _ in range(levels)]
-    for p in range(0, len(sizes), levels):
-        rules, side, longest, at = range(p, p + levels), tails[levels * (p > 0) :], {}, {}
-        for r, (cut, n) in zip(rules, side):  # the last of the longest layouts at each cut flag
-            if n >= side[longest.get(cut, r) - p][1]:
-                longest[cut] = r
-        for r, (cut, n) in zip(rules, side):
-            at[r], count = len(pick), sizes[r] - (longest[cut] != r) * n
-            pick += range(starts[r], starts[r] + count)
-            shift += [sizes[r]] * count
-        source += range(edges[-1], len(pick))
-        ends = {cut: (at[r] + sizes[r], side[r - p][1]) for cut, r in longest.items()}
-        for level, r, (cut, n) in zip(levels_w, rules, side):
-            level += [*range(at[r], at[r] + sizes[r] - n), *range(ends[cut][0] - n, ends[cut][0])]
-        if p > levels:  # a later lower panel: its layouts' tau are the first's
-            for cut, (end, n) in ends.items():
-                source[end - n : end] = source[first[cut][0] - n : first[cut][0]]
-        elif p:
-            first = ends
-        edges.append(len(pick))
+def _node_maps(spans: tuple[tuple[tuple[int, int, int, int], ...], ...]) -> tuple:
+    """_discretize's read-only index maps over the panels' split_rule
+    arrays, concatenated, whose spans are spans[p]: the panel edges, the
+    positions whose tau is kept (a later lower panel's layouts take the
+    first's), and every level's positions, tau places and bounds."""
+    edges = (0, *accumulate(max(span[3] for span in panel) for panel in spans))
+    source = np.arange(edges[-1])
+    heads = max(span[1] for span in spans[-1])  # where a lower panel's layouts start
+    for start, stop in zip(edges[2:-1], edges[3:]):
+        source[start + heads : stop] = source[edges[1] + heads : edges[2]]
+    levels = [np.concatenate([np.r_[e + a : e + b, e + c : e + d] for e, (a, b, c, d) in zip(edges, level)])
+              for level in zip(*spans)]
     distinct, place = np.unique(source, return_inverse=True)
-    w_map = np.concatenate(levels_w)
-    maps = (np.array((pick, np.add(pick, shift))), distinct, w_map, place[w_map])
+    w_map = np.concatenate(levels)
+    maps = (distinct, w_map, place[w_map])
     for array in maps:
         array.flags.writeable = False
-    return maps[0], tuple(edges), *maps[1:], (0, *accumulate(map(len, levels_w)))
+    return edges, *maps, (0, *accumulate(map(len, levels)))
 
 
 def _nudge_offsets(params: OperatorParams) -> list[tuple[float, float]]:

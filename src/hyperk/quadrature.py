@@ -25,12 +25,12 @@ one rule of order n/2, scaled onto [0, 4^-depth sigma], keeps the t^b_exp
 singularity with the error of the order-n rule on [0, 4^(1-depth) sigma],
 and Legendre panels, graded dyadically toward it and split at given
 cuts, cover the rest of [0, 1], where t^b_exp is smooth.  So no rule of
-order n is built for any depth.  The panel layout does not depend on
-b_exp, so it is cached per (order, cuts, depth), and its Gauss-Legendre
-rules have a cache of their own, kept for the whole process: a campaign
-draws fresh Jacobi exponents for every check, and in the shared cache
-they would evict the few Legendre orders that every check uses.  The last
-128 split rules are cached as well.
+order n is built for any depth, and one call builds a panel's every
+depth from one Jacobi rule.  Layouts do not depend on b_exp, so they are
+cached apart, and their Gauss-Legendre rules have a cache of their own,
+kept for the whole process: a campaign draws fresh Jacobi exponents for
+every check, and in the shared cache they would evict the few Legendre
+orders that every check uses.  The last 128 split rules are cached too.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import math
 import sys
 from dataclasses import InitVar, dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -167,8 +168,7 @@ def gauss_jacobi_rule(a_exp: float, b_exp: float, order: int) -> JacobiRule:
 
     if order == 1:
         node = ((b - a) / (apb + 2.0) + 1.0) / 2.0
-        rule = JacobiRule(a, b, 1, np.array([node]), np.array([moment0]), moment0)
-        return rule
+        return JacobiRule(a, b, 1, np.array([node]), np.array([moment0]), moment0)
 
     # The first entries keep their closed forms: the general ones are 0/0
     # at a + b = 0 (diagonal) and at a + b = -1 (off-diagonal).  Products
@@ -223,9 +223,7 @@ def _legendre_rule(order: int) -> JacobiRule:
 
 
 @lru_cache(maxsize=128)
-def _panel_layout(
-    order: int, cuts: tuple[float, ...], depth: int
-) -> tuple[float, np.ndarray, np.ndarray]:
+def _panel_layout(order: int, cuts: tuple[float, ...], depth: int) -> tuple[float, np.ndarray, np.ndarray]:
     """split_rule's Legendre panels on [h, 1], h = sigma * 4^-depth: the
     nodes t and the weights without the t^b_exp factor, both read-only,
     and h."""
@@ -262,42 +260,63 @@ def _panel_layout(
 
 
 @lru_cache(maxsize=128)
-def split_rule(
-    b_exp: float, order: int, cuts: tuple[float, ...] = (), depth: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [0, 1] for the weight t^b_exp, refined by splitting.
+def split_rule(b_exp: float, order: int, cuts: tuple[float, ...] = (),
+               depths: tuple[int, ...] = (1,)) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Nodes and weights on [0, 1] for the weight t^b_exp, refined by
+    splitting, at each depth d of depths: (nodes, weights, spans).
 
-    The Gauss-Jacobi rule of order ceil(order / 2) is scaled onto [0, h],
-    h = sigma * 4^-depth with sigma = min(1/4, first cut); it comes first,
-    node for node.  Below sigma, 2 * depth dyadic 12-node Gauss-Legendre
-    panels cover [h, sigma].  Gauss-Legendre panels cover [sigma, 1], split
-    at the cuts and, below 1/4, at sigma, 2 sigma, 4 sigma, ... so that no
-    panel [a, c] with a < 1/4 has c > 2a: t^b_exp is then smooth on each
-    panel at its own scale, and it is folded into the panel's weights.  The
-    panels on [sigma, 1] share `order` nodes in proportion to their length,
-    at least min(8, order) each (a panel whose share falls short takes the
-    minimum out of the others' shares), so with no cuts the rule has
-    ceil(order / 2) + 24 * depth + order nodes.  cuts is a tuple of points
-    inside (0, 1), typically where the integrand's slope jumps.
+    Depth d scales the Gauss-Jacobi rule of order ceil(order / 2) onto
+    [0, h], h = sigma * 4^-d, with sigma = min(1/4, first cut) for d > 0
+    and 1/4 at the uncut d = 0.  Below sigma, 2 * d dyadic 12-node
+    Gauss-Legendre panels cover [h, sigma].  Gauss-Legendre panels cover
+    [sigma, 1], split at the cuts and, below 1/4, at sigma, 2 sigma, 4
+    sigma, ... so that no panel [a, c] with a < 1/4 has c > 2a: t^b_exp is
+    then smooth on each panel at its own scale, and it is folded into the
+    panel's weights.  The panels on [sigma, 1] share `order` nodes in
+    proportion to their length, at least min(8, order) each (a panel whose
+    share falls short takes the minimum out of the others' shares), so
+    with no cuts depth d has ceil(order / 2) + 24 d + order nodes.  cuts
+    are points inside (0, 1), typically where the integrand's slope jumps.
 
     On a t^lambda factor at 0 an order-m rule on [0, h] errs by about
     h^gamma m^(-2 gamma), gamma = 1 + b_exp + lambda, so the half-order
     rule on [0, h] has the error of the order-`order` rule on [0, 4h], from
     an eigenproblem of half the size.
 
-    The panel layout depends only on (order, cuts, depth) and is cached
-    apart, its Legendre rules in a cache of their own, so a fresh b_exp
-    costs the Jacobi rule and one t^b_exp over the panel nodes.
+    The arrays hold one head per depth, then the deepest layout at each
+    cut flag, uncut first, whose tails are the shallower depths' layouts:
+    spans[i] = (a, b, c, d) gives depths[i] as [a:b] then [c:d] of both.
+    Layouts and spans are cached apart (_split_layout), so a fresh b_exp
+    costs the Jacobi rule and one t^b_exp per distinct layout node.
     """
     if not all(0.0 < c < 1.0 for c in cuts):
         raise DomainError(f"split_rule requires cuts inside (0, 1), got {cuts!r}")
     rule = gauss_jacobi_rule(0.0, b_exp, (order + 1) // 2)
-    h, t, w = _panel_layout(order, cuts, depth)
-    nodes = np.concatenate((h * rule.nodes, t))
-    weights = np.concatenate((h ** (b_exp + 1.0) * rule.weights, w * t ** b_exp))
+    hs, layouts, spans = _split_layout(order, cuts, depths)
+    nodes = np.concatenate([h * rule.nodes for h in hs] + [t for _, t, _ in layouts])
+    weights = np.concatenate([h ** (b_exp + 1.0) * rule.weights for h in hs]
+                             + [w * t ** b_exp for _, t, w in layouts])
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return nodes, weights
+    return nodes, weights, spans
+
+
+@lru_cache(maxsize=128)
+def _split_layout(order: int, cuts: tuple[float, ...], depths: tuple[int, ...]) -> tuple:
+    """split_rule's exponent-free part (hs, layouts, spans).  Depth d's
+    layout is the tail of its cut flag's deepest, at depth e, past 2 (e - d)
+    dyadic panels, and its h is that layout's times 4^(e - d), exactly."""
+    head = (order + 1) // 2
+    flags = [bool(cuts) and d > 0 for d in depths]
+    deepest = dict(sorted(zip(flags, depths)))
+    layouts = {flag: _panel_layout(order, cuts if flag else (), d) for flag, d in deepest.items()}
+    starts = dict(zip(deepest, accumulate((t.size for _, t, _ in layouts.values()), initial=head * len(depths))))
+    hs, spans = [], []
+    for i, (flag, d) in enumerate(zip(flags, depths)):
+        (h, t, _), gone = layouts[flag], deepest[flag] - d
+        hs.append(h * 4.0 ** gone)
+        spans.append((i * head, (i + 1) * head, starts[flag] + 2 * _DYADIC_ORDER * gone, starts[flag] + t.size))
+    return tuple(hs), tuple(layouts.values()), tuple(spans)
 
 
 def integrate(rule: JacobiRule, smooth_part: Callable[[np.ndarray], np.ndarray]) -> float:

@@ -382,8 +382,15 @@ SPLIT_EXPONENTS = [-0.95, -0.5, 0.0, 2.0, 3.0]
 SPLIT_CUTS = [(), (0.01,), (0.4, 0.7), (0.1, 0.3, 0.55, 0.8)]
 
 
+def split_levels(b_exp, order, cuts=(), depths=(0, 1)):
+    """split_rule's (nodes, weights) at each depth, read through its spans."""
+    nodes, weights, spans = split_rule(b_exp, order, cuts, depths)
+    return [tuple(np.concatenate((array[a:b], array[c:d])) for array in (nodes, weights))
+            for a, b, c, d in spans]
+
+
 def split_moment_errors(b_exp, cuts, degrees, depth=1):
-    nodes, weights = split_rule(b_exp, 64, cuts, depth)
+    nodes, weights = split_levels(b_exp, 64, cuts)[depth]
     return [abs(float(weights @ nodes ** j) * (b_exp + j + 1.0) - 1.0) for j in degrees]
 
 
@@ -392,16 +399,37 @@ def test_split_rule_without_cuts_halves_the_interval(b_exp):
     """At depth 0 and 1 the order-32 rule scaled onto [0, 4^-(depth+1)]
     comes first, then two 12-node Legendre panels [1/16, 1/8] and [1/8, 1/4]
     at depth 1, then 64 Legendre nodes on [1/4, 1]; t^b moments stay exact
-    to degree 127."""
+    to degree 127.  Both levels come from one call, which holds the
+    depth-0 layout once, as the depth-1 layout's tail."""
     rule = gauss_jacobi_rule(0.0, b_exp, 32)
-    for depth in (0, 1):
-        nodes, weights = split_rule(b_exp, 64, (), depth)
+    assert split_rule(b_exp, 64, (), (0, 1))[0].size == 2 * 32 + 24 + 64
+    for depth, (nodes, weights) in enumerate(split_levels(b_exp, 64)):
         h = 0.25 ** (depth + 1)
         assert nodes.size == weights.size == 32 + 24 * depth + 64
         assert np.array_equal(nodes[:32], h * rule.nodes)
         assert np.array_equal(weights[:32], h ** (b_exp + 1.0) * rule.weights)
         assert nodes[32] > h and nodes[-65] < 0.25 < nodes[-64]
         assert max(split_moment_errors(b_exp, (), range(128), depth)) <= 1e-12
+
+
+@pytest.mark.parametrize("depths", [(0,), (1,), (0, 1), (0, 1, 2)])
+@pytest.mark.parametrize("cuts", SPLIT_CUTS)
+@pytest.mark.parametrize("b_exp", SPLIT_EXPONENTS)
+def test_split_rule_levels_equal_their_depths_built_alone(b_exp, cuts, depths):
+    """Each level read through the spans is, bit for bit, its depth built
+    alone: the order-32 Jacobi rule on [0, h] ahead of the depth's own
+    Legendre layout on [h, 1], uncut at depth 0.  The arrays hold no
+    element twice, and every element belongs to some level."""
+    rule = gauss_jacobi_rule(0.0, b_exp, 32)
+    for depth, level in zip(depths, split_levels(b_exp, 64, cuts, depths), strict=True):
+        h, t, w = quadrature._panel_layout(64, cuts if depth else (), depth)
+        alone = (np.concatenate((h * rule.nodes, t)),
+                 np.concatenate((h ** (b_exp + 1.0) * rule.weights, w * t ** b_exp)))
+        for got, want in zip(level, alone):
+            assert got.tobytes() == want.tobytes(), depth
+    nodes, weights, spans = split_rule(b_exp, 64, cuts, depths)
+    assert nodes.size == weights.size == np.unique(nodes).size
+    assert {i for a, b, c, d in spans for i in (*range(a, b), *range(c, d))} == set(range(nodes.size))
 
 
 @pytest.mark.parametrize("cuts", SPLIT_CUTS[1:])
@@ -415,17 +443,17 @@ def test_split_rule_moments_with_cuts(b_exp, cuts):
 @pytest.mark.parametrize("cuts", SPLIT_CUTS)
 @pytest.mark.parametrize("b_exp", SPLIT_EXPONENTS)
 def test_split_rule_nodes_increase_inside_the_interval(b_exp, cuts):
-    nodes, weights = split_rule(b_exp, 64, cuts)
-    assert 0.0 < nodes[0] and nodes[-1] < 1.0
-    assert np.all(np.diff(nodes) > 0.0)
-    assert np.all(weights > 0.0)
+    for nodes, weights in split_levels(b_exp, 64, cuts):
+        assert 0.0 < nodes[0] and nodes[-1] < 1.0
+        assert np.all(np.diff(nodes) > 0.0)
+        assert np.all(weights > 0.0)
 
 
 @pytest.mark.parametrize("cuts", SPLIT_CUTS[1:])
 @pytest.mark.parametrize("b_exp", SPLIT_EXPONENTS)
 def test_split_rule_integrates_kinks_at_its_cuts(b_exp, cuts):
     """t^b |t - c| has its kink on a panel edge, so it integrates exactly."""
-    nodes, weights = split_rule(b_exp, 64, cuts)
+    nodes, weights = split_levels(b_exp, 64, cuts)[1]
     b1, b2 = b_exp + 1.0, b_exp + 2.0
     for c in cuts:
         want = (2.0 * c ** b2 / b1 - 2.0 * c ** b2 / b2 + 1.0 / b2 - c / b1)
@@ -473,8 +501,9 @@ def _digest(pairs):
 
 
 def test_split_rule_bits_are_pinned():
-    """Every node and weight of the order-64 split rules, bit for bit."""
-    digest = _digest(split_rule(b, 64, cuts)
+    """Every node and weight of the order-64 split rules' depth-1 level, as
+    the operator's two-level call holds it, bit for bit."""
+    digest = _digest(split_levels(b, 64, cuts)[1]
                      for b, cuts in itertools.product(SPLIT_EXPONENTS, SPLIT_CUTS))
     assert digest == "19b3a30c7ad0b0e514e8ae0cb5d1c349af21f716c556e8bc1c691a83bd81f70c"
 
@@ -502,7 +531,7 @@ def test_campaign_checks_solve_three_rules_each(monkeypatch):
         return stevd(diag, off, **kwargs)
 
     monkeypatch.setattr(quadrature, "_stevd", counted)
-    for cached in (quadrature.gauss_jacobi_rule, quadrature.split_rule,
+    for cached in (quadrature.gauss_jacobi_rule, quadrature.split_rule, quadrature._split_layout,
                    quadrature._panel_layout, quadrature._legendre_rule):
         cached.cache_clear()
     checks = [(tid, seed) for seed in range(40) for tid in THEOREM_IDS]
@@ -519,7 +548,9 @@ def test_campaign_checks_build_each_plan_once(monkeypatch):
     table, one first-chunk series plan and three order-32 Jacobi rules,
     and a panel layout is built at most once per distinct cut tuple and
     depth, the coarse level's always uncut, so no part of a check's cold
-    path is built twice."""
+    path is built twice.  The uncut layouts are the deepest one, whose tail
+    is an uncut panel's coarse layout, and the depth-0 one that a cut
+    panel's coarse level takes."""
     from hyperk import fracint, specfun
 
     stevd = quadrature._stevd
@@ -545,7 +576,8 @@ def test_campaign_checks_build_each_plan_once(monkeypatch):
         cached = getattr(module, name)
         cached.cache_clear()
         monkeypatch.setattr(module, name, counted(kind, cached))
-    for cached in (quadrature.gauss_jacobi_rule, quadrature.split_rule, quadrature._legendre_rule):
+    for cached in (quadrature.gauss_jacobi_rule, quadrature.split_rule, quadrature._split_layout,
+                   quadrature._legendre_rule):
         cached.cache_clear()
     per_check = []
     for task in [(tid, seed) for seed in range(40) for tid in THEOREM_IDS]:
@@ -557,6 +589,6 @@ def test_campaign_checks_build_each_plan_once(monkeypatch):
     assert set(built["jacobi"]) == {32}
     layouts = built["layout"]
     assert len(layouts) == len(set(layouts))
-    assert [(cuts, depth) for _, cuts, depth in layouts if not cuts] == [((), 0), ((), 1)]
+    assert sorted((cuts, depth) for _, cuts, depth in layouts if not cuts) == [((), 0), ((), 1)]
     assert any(len(cuts) > 0 for _, cuts, _ in layouts)
     assert all(depth == 1 for _, cuts, depth in layouts if cuts)
