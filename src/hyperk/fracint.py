@@ -596,7 +596,8 @@ def rl_k_integral(
     singular-end error the operator's fine level matches by splitting).  The
     main operator degenerates to exactly this at beta = -alpha,
     mu = eta = 0; the code stays separate from _discretize so that the
-    reduction checks compare two independent implementations.
+    reduction checks compare two independent implementations.  Its two
+    rules are built on every call, uncached.
     """
     if not (math.isfinite(alpha) and alpha >= 0.05):
         raise DomainError(f"rl_k_integral requires alpha >= 0.05, got {alpha!r}")

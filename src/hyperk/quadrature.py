@@ -4,9 +4,7 @@ Rules are built with the Golub-Welsch eigenvalue method: the Jacobi
 recurrence coefficients are formed as whole-array expressions and LAPACK's
 dstevd (the driver scipy.linalg.eigh_tridiagonal picks for a full
 spectrum, called directly) solves the symmetric tridiagonal eigenproblem
-for nodes and weights.  The last 128 rules are cached, so repeated
-operator evaluations with the same exponents share one immutable rule
-object.
+for nodes and weights.
 
 dstevd is the only scipy routine the package uses.  It is bound from
 scipy's compiled f2py module scipy.linalg._flapack, found in scipy's and
@@ -27,10 +25,9 @@ and Legendre panels, graded dyadically toward it and split at given
 cuts, cover the rest of [0, 1], where t^b_exp is smooth.  So no rule of
 order n is built for any depth, and one call builds a panel's every
 depth from one Jacobi rule.  Layouts do not depend on b_exp, so they are
-cached apart, and their Gauss-Legendre rules have a cache of their own,
-kept for the whole process: a campaign draws fresh Jacobi exponents for
-every check, and in the shared cache they would evict the few Legendre
-orders that every check uses.  The last 128 split rules are cached too.
+cached apart, and so are their Gauss-Legendre rules, one per order.  The
+last 128 split rules are cached; that is the only cache a Jacobi rule of
+the operator sits in.
 """
 
 from __future__ import annotations
@@ -58,6 +55,11 @@ _SPLIT = 0.25
 _MIN_PANEL_ORDER = 8
 # the order of split_rule's dyadic Legendre panels below sigma
 _DYADIC_ORDER = 12
+# the recurrence's exponent-free columns j, 2j and 4j, j = 0, ..., MAX_ORDER - 1,
+# read-only views of one table; every order slices them
+_STEPS = np.array([[1.0], [2.0], [4.0]]) * np.arange(MAX_ORDER)
+_STEPS.flags.writeable = False
+_J, _TWO_J, _FOUR_J = _STEPS
 
 
 def _load_flapack(path=None):
@@ -138,16 +140,15 @@ class JacobiRule:
         self.weights.setflags(write=False)
 
 
-@lru_cache(maxsize=128)
 def gauss_jacobi_rule(a_exp: float, b_exp: float, order: int) -> JacobiRule:
-    """Build (or fetch from cache) the Gauss-Jacobi rule for the given weight.
+    """Build the Gauss-Jacobi rule for the given weight.
 
     The symmetric tridiagonal eigenproblem of the three-term recurrence
     yields the nodes as eigenvalues; the weights follow from the first
     eigenvector components scaled by the zeroth moment.  The recurrence's
-    exponent-free columns (j, 2j, 4j) come from a read-only cache per
-    order, so a fresh exponent pays for the dstevd solve, its own
-    whole-array terms and JacobiRule's checks.
+    exponent-free columns (j, 2j, 4j) are slices of module constants, so
+    a call pays for the dstevd solve, its own whole-array terms and
+    JacobiRule's checks.
     """
     if not (math.isfinite(a_exp) and a_exp > -1.0):
         raise DomainError(f"gauss_jacobi_rule requires a_exp > -1, got {a_exp!r}")
@@ -173,7 +174,7 @@ def gauss_jacobi_rule(a_exp: float, b_exp: float, order: int) -> JacobiRule:
     # The first entries keep their closed forms: the general ones are 0/0
     # at a + b = 0 (diagonal) and at a + b = -1 (off-diagonal).  Products
     # are formed in place, left to right, as the plain expressions would.
-    j, two_j, four_j = _recurrence_steps(order)
+    j, two_j, four_j = _J[:order], _TWO_J[:order], _FOUR_J[2:order]
     diag = np.empty(order)
     off = np.empty(order - 1)
     diag[0] = (b - a) / (apb + 2.0)
@@ -206,20 +207,9 @@ def gauss_jacobi_rule(a_exp: float, b_exp: float, order: int) -> JacobiRule:
 
 
 @lru_cache(maxsize=MAX_ORDER)
-def _recurrence_steps(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The exponent-free parts of the order-`order` recurrence, read-only:
-    j = 0, ..., order - 1, then 2j, and 4j from j = 2 on."""
-    j = np.arange(order, dtype=float)
-    steps = (j, 2.0 * j, 4.0 * j[2:])
-    for step in steps:
-        step.setflags(write=False)
-    return steps
-
-
-@lru_cache(maxsize=MAX_ORDER)
 def _legendre_rule(order: int) -> JacobiRule:
-    """The order-`order` Gauss-Legendre rule on [0, 1], in a cache of its own."""
-    return gauss_jacobi_rule.__wrapped__(0.0, 0.0, order)
+    """The order-`order` Gauss-Legendre rule on [0, 1], cached per order."""
+    return gauss_jacobi_rule(0.0, 0.0, order)
 
 
 @lru_cache(maxsize=128)

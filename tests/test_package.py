@@ -1,8 +1,12 @@
-"""The package's export list: hyperk.__all__ re-exports its modules' own."""
+"""The package's export list: hyperk.__all__ re-exports its modules' own,
+and the census of its caches: each one has to be reused by the traffic."""
 
 import importlib
 
 import hyperk
+from hyperk import THEOREM_IDS, apply_operator
+from hyperk.inequalities import _suite_row
+from test_fracint import PATH_CASES, SWEEP_FNS
 
 PUBLIC = [
     "HyperkError", "DomainError", "ValidationError", "ConvergenceError",
@@ -46,3 +50,37 @@ def test_every_module_export_resolves_to_the_package_name():
             assert getattr(hyperk, symbol) is getattr(module, symbol)
         exported += module.__all__
     assert [*exported, "__version__"] == PUBLIC
+
+
+def test_every_cache_is_reused():
+    """Every cache in the package earns hits, in a cold run of 48 campaign
+    checks or in the second of two passes over the same operator calls (each
+    path at two points with every function family), so none holds entries
+    that its traffic never looks up again."""
+    modules = [importlib.import_module(f"hyperk.{name}") for name in (*MODULES, "cli")]
+    caches = {id(obj): obj for module in modules for obj in vars(module).values()
+              if hasattr(obj, "cache_info")}
+    assert caches
+
+    def cleared():
+        for cache in caches.values():
+            cache.cache_clear()
+
+    cleared()
+    for seed in range(8):
+        for tid in THEOREM_IDS:
+            _suite_row(64, (tid, seed))
+    campaign = {key: cache.cache_info() for key, cache in caches.items()}
+    cleared()
+    for _ in range(2):
+        warm = {key: cache.cache_info() for key, cache in caches.items()}
+        for params in PATH_CASES.values():
+            for x in (0.7, 1.3):
+                for f in SWEEP_FNS:
+                    apply_operator(params, f, x, order=64)
+    unused = [f"{cache.__qualname__}: campaign {campaign[key].hits}/{campaign[key].misses}, "
+              f"second pass {cache.cache_info().hits - warm[key].hits}/"
+              f"{cache.cache_info().misses - warm[key].misses} hits/misses"
+              for key, cache in caches.items()
+              if campaign[key].hits == 0 and cache.cache_info().hits == warm[key].hits]
+    assert not unused, unused
