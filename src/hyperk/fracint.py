@@ -58,10 +58,13 @@ built.  A kink-free panel has 3n + 24 nodes over both levels, 2n + 24 of
 them distinct.  operator_images builds both levels in one pass and
 evaluates each integrand once on their distinct nodes, so one
 discretization serves every image of a check; apply_operator is its
-one-integrand case.  The panel table is cached per OperatorParams, and a
-point works on one flat array of every panel's distinct nodes, so its
-number of whole-array steps does not grow with the number of panels or
-levels.
+one-integrand case.  What depends on the parameters alone, the panels and
+the series blocks in summation order with their coefficients, is built
+once per OperatorParams and cached.  The per-point pass does only per-point
+work: each series term's scale, the nodes and their formulas, formed from
+one array of the distances from each panel's near end, and one series call
+on one flat argument array.  Its number of whole-array steps does not grow
+with the number of panels or levels.
 """
 
 from __future__ import annotations
@@ -71,7 +74,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from operator import itemgetter
 from math import exp, log
 from typing import Callable, Iterable
 
@@ -268,21 +270,29 @@ def kernel_series(params: OperatorParams, x: float, tau: float, n_terms: int) ->
 # operator evaluation
 
 
-_ParamTable = namedtuple("_ParamTable", "panels extrapolated lg_alpha")
+_ParamTable = namedtuple("_ParamTable", "panels terms abc further extrapolated lg_alpha")
 
 
 @lru_cache(maxsize=128)
 def _param_table(params: OperatorParams) -> _ParamTable:
-    """The panel table, the extrapolation flag and log Gamma(alpha), built
-    once per OperatorParams.  It validates them, so invalid params raise on
-    every call and never enter the cache, and it holds scalars only.
+    """Everything of a discretization that depends on OperatorParams alone,
+    built once per parameter set.  It validates them, so invalid params
+    raise on every call and never enter the cache, and it holds scalars
+    only: no node arrays, which depend on the point, order and kinks.
 
-    One panel per Jacobi rule: (upper?, rule exponent on the node variable,
-    2F1 argument is u rather than 1 - u, terms); each term (coefficient,
-    log coefficient, log shift, 2F1 parameters) adds coef * exp(log scale
-    of its side + log coefficient - log shift) * 2F1 to w.  log Gamma(alpha)
-    is evaluated once: the prefactor and both connection coefficients of
-    every offset take it.
+    panels: one (upper?, rule exponent on the node variable) per Jacobi
+    rule, the upper panel first.  terms: the series blocks in summation
+    order, every panel's first term as the panels lie, then the later
+    terms; each is (panel index, 2F1 argument measured from the far end?,
+    coefficient, log coefficient, log shift) and adds coef * exp(log scale
+    of its side + log coefficient - log shift) * 2F1 to w.  A panel's near
+    end is u = 1 on the upper panel and u = 0 on the lower ones, so its
+    near argument is 1 - u and u respectively, and its far one 1 - near.
+    abc: the blocks' 2F1 parameters a, b and c, one tuple each, in the same
+    order.  further: the panel index of each later term.  extrapolated:
+    the lower half is extrapolated across eta offsets.  log Gamma(alpha) is
+    evaluated once: the prefactor and both connection coefficients of every
+    offset take it.
     """
     validate(params)
     alpha, beta_, eta, mu, k = params.alpha, params.beta, params.eta, params.mu, params.k
@@ -290,22 +300,27 @@ def _param_table(params: OperatorParams) -> _ParamTable:
     kp1 = k + 1.0
     b_lo = kp1 * mu + k
     lg_alpha = log_gamma(alpha)  # alpha > 0: Gamma(alpha) has sign +1
-    panels = [(True, alpha - 1.0, False, [(1.0, 0.0, 0.0, (a, b, alpha))])]
+    # (upper?, rule exponent, terms), a term (far?, coef, log coef, log shift, a, b, c)
+    panels = [(True, alpha - 1.0, [(False, 1.0, 0.0, 0.0, a, b, alpha)])]
     offsets = []
     if _is_nonpositive_integer(a) or _is_nonpositive_integer(b):
-        panels.append((False, b_lo, False, [(1.0, 0.0, 0.0, (a, b, alpha))]))
+        panels.append((False, b_lo, [(True, 1.0, 0.0, 0.0, a, b, alpha)]))
     else:
         offsets = _nudge_offsets(params)
         first = []
-        panels.append((False, b_lo, True, first))
+        panels.append((False, b_lo, first))
         for d, coef in offsets:
             sd = s + d
             (sign1, log_c1, abc1), (sign2, log_c2, abc2) = _connection(a, b - d, alpha, sd, lg_alpha, 1.0)
-            first.append((coef * sign1, log_c1, 0.0, abc1))
-            panels.append((False, b_lo + kp1 * sd, True, [(coef * sign2, log_c2, sd * _LOG2, abc2)]))
-    panels = tuple((upper, b_exp, in_u, kept) for upper, b_exp, in_u, terms in panels
-                   if (kept := tuple(term for term in terms if term[0] != 0.0)))
-    return _ParamTable(panels, len(offsets) > 1, lg_alpha)
+            first.append((False, coef * sign1, log_c1, 0.0, *abc1))
+            panels.append((False, b_lo + kp1 * sd, [(False, coef * sign2, log_c2, sd * _LOG2, *abc2)]))
+    panels = [(upper, b_exp, kept) for upper, b_exp, terms in panels
+              if (kept := [term for term in terms if term[1] != 0.0])]
+    terms = [(i, *term) for i, (_, _, kept) in enumerate(panels) for term in kept[:1]]
+    terms += [(i, *term) for i, (_, _, kept) in enumerate(panels) for term in kept[1:]]
+    return _ParamTable(tuple((upper, b_exp) for upper, b_exp, _ in panels),
+                       tuple(term[:5] for term in terms), tuple(zip(*terms))[5:],
+                       tuple(term[0] for term in terms[len(panels):]), len(offsets) > 1, lg_alpha)
 
 
 def _discretize(
@@ -334,27 +349,31 @@ def _discretize(
     coefficients all fold into w, so each discretization depends only on
     (params, x, order, depths, kinks) and the operator is exactly linear in
     f.  table is _param_table(params), which the caller has looked up: the
-    panel table and log Gamma(alpha), once per OperatorParams; the
-    prefactor is formed here, once per point.
+    panels, the series blocks in summation order and log Gamma(alpha), once
+    per OperatorParams.  What is left here is per-point work: the
+    prefactor, each term's scale, the nodes and their formulas.
 
     Each piece of a point is held once: split_rule holds a panel's head at
     each depth and each distinct layout once, and the later lower panels
     take their layouts' tau from the first's (_node_maps, cached per spans).
     So a point works on split_rule's arrays as they come, the upper panel
     first, and costs a fixed number of whole-array steps whatever the number
-    of panels and levels: the node formulas on the upper panel's slice and
-    on the lower panels', one series call with one parameter block per
-    series term, the weights as one product (each block's scale, repeated,
-    times the rule weights, the smooth factor and the 2F1 values), a panel's
-    further terms added to it in term order, and one gather into the levels'
-    node order.  The series call stops once, at the first term where every
-    node of every block has converged, and past a node's own stop the
-    further terms are below half an ulp of its sum on the arguments up to
-    1/2 that the panels pass (the terminating panel's polynomial ends in
-    zero terms), so each block and level gets the weights it gets when built
+    of panels and levels: the node formulas, from one array near (1 - u on
+    the upper panel, u on the lower ones) and far = 1 - near, one series
+    call on one flat argument array with one parameter block per series
+    term (every panel's first term takes its slice of near, or of far on
+    the terminating panel, and the later terms their panel's again), the
+    weights as one product (each block's scale, repeated, times the rule
+    weights, the smooth factor and the 2F1 values), a panel's later terms
+    added to its first in term order, and one gather into the levels' node
+    order.  The series call stops once, at the first term where every node
+    of every block has converged, and past a node's own stop the further
+    terms are below half an ulp of its sum on the arguments up to 1/2 that
+    the panels pass (the terminating panel's polynomial ends in zero
+    terms), so each block and level gets the weights it gets when built
     alone, bit for bit.
 
-    The panel table, one panel per Jacobi rule, alone decides the path.
+    The parameter table, one panel per Jacobi rule, alone decides the path.
     The upper panel, free of connection coefficients, is built at the true
     eta on every path; a polynomial 2F1 gives the lower half one panel.
     Otherwise each (offset, coefficient) of _nudge_offsets adds a pair of
@@ -365,7 +384,7 @@ def _discretize(
     one term each; each second branch, exponent (k+1)(mu + s + offset) + k,
     keeps its own.
     """
-    panels, _, lg_alpha = table
+    panels, terms, abc, further, _, lg_alpha = table
     alpha, beta_, mu, k = params.alpha, params.beta, params.mu, params.k
     kp1 = k + 1.0
     inv_kp1 = 1.0 / kp1
@@ -394,37 +413,42 @@ def _discretize(
     log_lo = log_pre + ((kp1 * mu + k + 1.0) * log(tau_half) + kp1 * (alpha - 1.0) * lx)
 
     nodes, rule_w, levels = zip(*(split_rule(b_exp, order, cuts_hi if upper else cuts_lo, depths)
-                                 for upper, b_exp, _, _ in panels))
+                                 for upper, b_exp in panels))
     edges, distinct, w_map, tau_map, bounds = _node_maps(levels)
     nodes, rule_w = np.concatenate(nodes), np.concatenate(rule_w)
+    # near is 1 - u = v/2 on the upper panel and u = t^(k+1)/2 on the lower
+    # ones, and far = 1 - near
     hi, lo = slice(0, edges[1]), slice(edges[1], None)
-    u, one_minus_u, smooth, tau = np.empty((4, nodes.size))
-    np.multiply(0.5, nodes[hi], out=one_minus_u[hi])
-    np.subtract(1.0, one_minus_u[hi], out=u[hi])
-    np.multiply(0.5, nodes[lo] ** kp1, out=u[lo])
-    np.subtract(1.0, u[lo], out=one_minus_u[lo])
-    tau[hi], tau[lo] = x * u[hi] ** inv_kp1, tau_half * nodes[lo]
-    smooth[hi], smooth[lo] = u[hi] ** mu, one_minus_u[lo] ** (alpha - 1.0)
+    near, far, smooth, tau = np.empty((4, nodes.size))
+    np.multiply(0.5, nodes[hi], out=near[hi])
+    np.multiply(0.5, nodes[lo] ** kp1, out=near[lo])
+    np.subtract(1.0, near, out=far)
+    tau[hi], tau[lo] = x * far[hi] ** inv_kp1, tau_half * nodes[lo]
+    smooth[hi], smooth[lo] = far[hi] ** mu, far[lo] ** (alpha - 1.0)
 
-    # one block per series term: (later term?, its panel's nodes, scale, 2F1
-    # parameters, z), every panel's first term first, as the panels lie
-    blocks = []
-    for i, (upper, _, in_u, terms) in enumerate(panels):
-        span = slice(edges[i], edges[i + 1])
-        log_base = log_hi if upper else log_lo
-        blocks += [(j > 0, span, coef * exp(log_base + log_c - shift), *abc, (u if in_u else one_minus_u)[span])
-                   for j, (coef, log_c, shift, abc) in enumerate(terms)]
-    _, spans, scales, ca, cb, cc, zs = zip(*sorted(blocks, key=itemgetter(0)))
-    if further := spans[len(panels):]:
-        rule_w, smooth = (np.concatenate((array, *(array[span] for span in further)))
-                          for array in (rule_w, smooth))
-    w = np.repeat(scales, [z.size for z in zs])
+    # the flat series argument, block after block: a panel's first term
+    # takes its slice of near (the terminating panel, the last and only
+    # lower one, of far), and each later term its panel's slice again,
+    # whose rule weights and smooth factor go along
+    z = near
+    if terms[len(panels) - 1][1]:
+        z = np.concatenate((near[hi], far[lo]))
+    sizes = [j - i for i, j in zip(edges, edges[1:])]
+    if further:
+        spans = [slice(edges[i], edges[i + 1]) for i in further]
+        z, rule_w, smooth = (np.concatenate((array, *(array[span] for span in spans)))
+                             for array in (z, rule_w, smooth))
+        sizes += [sizes[i] for i in further]
+    w = np.repeat([coef * exp((log_lo if i else log_hi) + log_c - shift)
+                   for i, _, coef, log_c, shift in terms], sizes)
     w *= rule_w
     w *= smooth
-    w *= _series_2f1_vec(ca, cb, cc, zs)
+    w *= _series_2f1_vec(*abc, z, sizes)
     # each later term is added to its panel's first, in term order
-    for span, start in zip(further, accumulate((s.stop - s.start for s in further), initial=nodes.size)):
-        w[span] += w[start : start + span.stop - span.start]
+    start = nodes.size
+    for i in further:
+        w[edges[i] : edges[i + 1]] += w[start : start + sizes[i]]
+        start += sizes[i]
 
     w = w.take(w_map)
     return tau.take(distinct), tau_map, [w[i:j] for i, j in zip(bounds, bounds[1:])]

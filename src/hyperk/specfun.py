@@ -250,14 +250,15 @@ def _connected_2f1(a: float, b: float, c: float, s: float, w: float) -> float:
     return total
 
 
-def _series_2f1_vec(a, b, c, z) -> np.ndarray:
+def _series_2f1_vec(a, b, c, z, sizes=None) -> np.ndarray:
     """Direct power series with the term-ratio recurrence, for one or more
     parameter blocks in one pass.
 
-    a, b, c are floats and z an array of arguments (one block), or a, b, c
-    and z are equal-length sequences, one entry per block.  Every block
-    holds at least one argument, and every argument is >= 0.  Returns one
-    flat array: every block's values, concatenated in order.
+    a, b, c are floats and z the arguments (one block), or a, b, c are
+    equal-length sequences, one entry per block, z one flat array of every
+    block's arguments, block after block, and sizes the blocks' lengths.
+    Every block holds at least one argument, and every argument is >= 0.
+    Returns one flat array of the values, in the order of z.
 
     Each block's term ratios are formed as fl(r_n * z), r_n = (a+n)(b+n) /
     ((c+n)(n+1)), for every block at once: the (terms x blocks) table of
@@ -283,10 +284,9 @@ def _series_2f1_vec(a, b, c, z) -> np.ndarray:
     so a block's values do not depend on the other blocks of the call.
     Raises after 10000 terms.
     """
-    if np.isscalar(a):
-        a, b, c, z = (a,), (b,), (c,), (z,)
-    flat = np.concatenate(z, axis=None)
-    sizes = [np.size(v) for v in z]
+    flat = np.ravel(z)
+    if sizes is None:
+        a, b, c, sizes = (a,), (b,), (c,), (flat.size,)
     ends = list(accumulate(sizes))
     widest = np.maximum.reduceat(flat, [0, *ends[:-1]])  # z >= 0: the largest
     ratios, may_stop, ahead = _first_chunk(tuple(a), tuple(b), tuple(c), tuple(widest.tolist()))
@@ -317,7 +317,7 @@ def _series_2f1_vec(a, b, c, z) -> np.ndarray:
     k = np.searchsorted(ends, (~(np.abs(term) <= _SERIES_RTOL * np.abs(total))).argmax(), "right")
     raise ConvergenceError(
         f"2F1 series did not converge within {_SERIES_CAP} terms "
-        f"(a={a[k]}, b={b[k]}, c={c[k]}, max z={np.max(z[k])})"
+        f"(a={a[k]}, b={b[k]}, c={c[k]}, max z={widest[k]})"
     )
 
 

@@ -446,9 +446,9 @@ class TestDiscretize:
         calls = []
         inner = fracint._series_2f1_vec
 
-        def counted(a, b, c, z):
-            calls.append([np.size(v) for v in z])
-            return inner(a, b, c, z)
+        def counted(a, b, c, z, sizes):
+            calls.append(list(sizes))
+            return inner(a, b, c, z, sizes)
 
         monkeypatch.setattr(fracint, "_series_2f1_vec", counted)
         apply_operator(PATH_CASES[path], ONE, 1.3, order=16)
@@ -489,9 +489,9 @@ class TestDiscretize:
         calls = []
         inner = fracint._series_2f1_vec
 
-        def counted(a, b, c, z):
+        def counted(a, b, c, z, sizes):
             calls.append(len(a))
-            return inner(a, b, c, z)
+            return inner(a, b, c, z, sizes)
 
         monkeypatch.setattr(fracint, "_series_2f1_vec", counted)
         res = apply_operator(params, ONE, 1.3)
@@ -499,6 +499,29 @@ class TestDiscretize:
         assert discretize_levels(params, 1.3, 64)[1] is False
         assert res.error_estimate < 1e-12 * res.value
         assert res.value == pytest.approx(operator_of_one(params, 1.3), rel=1e-13)
+
+    @pytest.mark.parametrize("path", PATH_CASES)
+    def test_joint_series_call_equals_its_blocks_alone(self, path, monkeypatch):
+        """The blocks _discretize hands the series, with and without kinks,
+        at orders 16 and 64: the joint call gives each block what a call on
+        that block alone gives, bit for bit.  On the terminating path the
+        lower block's arguments lie in [1/2, 1]."""
+        calls = []
+        inner = fracint._series_2f1_vec
+
+        def captured(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(fracint, "_series_2f1_vec", captured)
+        for kinks, order in itertools.product(((), (0.4, 0.9, 1.25)), (16, 64)):
+            discretize_levels(PATH_CASES[path], 1.3, order, kinks)
+        assert len(calls) == 4
+        for a, b, c, z, sizes in calls:
+            blocks = np.split(z, np.cumsum(sizes)[:-1])
+            alone = [inner(*abc, block) for *abc, block in zip(a, b, c, blocks)]
+            assert np.array_equal(inner(a, b, c, z, sizes), np.concatenate(alone))
+            assert (z.max() > 0.5) == (path == "terminating")
 
 
 # the parameter table: (name, params the table is built from, equal params
@@ -540,7 +563,8 @@ class TestParamTable:
     def test_one_build_per_parameter_set(self):
         """A sweep of 3 points times the 7 function families over one
         parameter set builds its table once, and the table holds scalars
-        only (no node arrays, no series rows)."""
+        only (no node arrays, no series rows): floats, flags and the panel
+        index of each series term."""
         params = PATH_CASES["nudged"]
         fracint._param_table.cache_clear()
         for x in (0.5, 1.25, 2.0):
@@ -549,7 +573,7 @@ class TestParamTable:
         assert fracint._param_table.cache_info().misses == 1
 
         def scalars(v):
-            return all(map(scalars, v)) if isinstance(v, tuple) else isinstance(v, (bool, float))
+            return all(map(scalars, v)) if isinstance(v, tuple) else isinstance(v, (bool, int, float))
 
         assert scalars(fracint._param_table(params))
 
@@ -800,7 +824,7 @@ def test_half_order_levels_are_as_accurate_as_order_n(monkeypatch):
     for i, (seed, tid, which, truth) in enumerate(GRADED_IMAGES):
         inst = random_instance(seed, tid)
         fn = getattr(inst, which)
-        exponents = [b_exp for _, b_exp, _, _ in fracint._param_table(inst.params).panels]
+        exponents = [b_exp for _, b_exp in fracint._param_table(inst.params).panels]
         singular += min(exponents) < -0.8
         branch += max(exponents[1:]) >= 2.0 and has_branch_point(fn)
         truth = float.fromhex(truth)

@@ -394,7 +394,7 @@ class TestSeriesBlocks:
             if i % 2:
                 got = _series_2f1_vec(a, b, c, np.array([z]))
             else:
-                got = _series_2f1_vec((a,), (b,), (c,), (z,))
+                got = _series_2f1_vec((a,), (b,), (c,), np.array([z]), (1,))
             assert got.shape == (1,)
             digest.update(got.tobytes())
         assert digest.hexdigest() == (
@@ -430,7 +430,7 @@ class TestSeriesBlocks:
                 if rng.random() < 0.1:
                     a, z = float(rng.choice([0.0, -1.0, -4.0])), 1.0 - z
                 blocks.append((a, b, c, z))
-            joint = _series_2f1_vec(*zip(*blocks))
+            joint = joint_call(blocks)
             alone = np.concatenate([_series_2f1_vec(*block) for block in blocks])
             assert np.array_equal(joint, alone)
         # the call stops once for all of its blocks, so stress what that
@@ -449,7 +449,7 @@ class TestSeriesBlocks:
                     a = float(rng.choice([0.0, -1.0, -4.0, -12.0]))
                     z = rng.uniform(0.5, 1.0, z.size)
                 blocks.append((a, b, c, z))
-            joint = _series_2f1_vec(*zip(*blocks))
+            joint = joint_call(blocks)
             alone = np.concatenate([_series_2f1_vec(*block) for block in blocks])
             assert np.array_equal(joint, alone)
 
@@ -457,16 +457,20 @@ class TestSeriesBlocks:
         # the integer gap of gauss_2f1(0.7, 0.7, 0.4, 0.999) beside a block
         # that converges: the message names the block that did not
         with pytest.raises(ConvergenceError, match=r"a=0\.7, b=0\.7, c=0\.4, max z=0\.999"):
-            _series_2f1_vec((0.5, 0.7), (0.5, 0.7), (1.5, 0.4),
-                            (np.array([0.2, 0.4]), np.array([0.999])))
+            _series_2f1_vec((0.5, 0.7), (0.5, 0.7), (1.5, 0.4), np.array([0.2, 0.4, 0.999]), (2, 1))
 
 
-def row_sweep(a, b, c, z):
+def joint_call(blocks):
+    """One series call over blocks of (a, b, c, z): their arguments as one
+    flat array, and the blocks' sizes."""
+    a, b, c, z = zip(*blocks)
+    return _series_2f1_vec(a, b, c, np.concatenate(z), [v.size for v in z])
+
+
+def row_sweep(a, b, c, flat, sizes):
     """The term-by-term sweep the product chain replaces: the same ratios
     fl(r_n * z), then term *= ratio; total += term per term, stopping at the
     first term at which every element of every block has converged."""
-    sizes = [np.size(v) for v in z]
-    flat = np.concatenate(z, axis=None)
     a, b, c = np.array((a, b, c), dtype=float)
     term, total = np.ones((2, flat.size))
     for n in map(float, range(10000)):
@@ -480,14 +484,16 @@ def row_sweep(a, b, c, z):
 
 
 def random_blocks(rng, count, size):
-    """count blocks of size arguments in [0, 1/2], a terminating now and then."""
+    """(a, b, c, flat z, sizes) of count blocks of size arguments in [0, 1/2],
+    a terminating now and then."""
     blocks = []
     for _ in range(count):
         a, b = rng.uniform(-3.0, 3.0, 2)
         if rng.random() < 0.2:
             a = float(rng.choice([0.0, -1.0, -4.0, -12.0]))
         blocks.append((a, b, rng.uniform(0.05, 3.0), rng.uniform(0.0, 0.5, size)))
-    return tuple(zip(*blocks))
+    a, b, c, z = zip(*blocks)
+    return a, b, c, np.concatenate(z), (size,) * count
 
 
 class TestSeriesSweep:
@@ -499,9 +505,10 @@ class TestSeriesSweep:
         # calls tell a row reduction from the sweep
         rng = np.random.default_rng(2026_19 + size)
         for _ in range(200):
-            a, b, c, z = random_blocks(rng, 1, size)
-            assert np.array_equal(_series_2f1_vec(a, b, c, z), row_sweep(a, b, c, z))
-            assert np.array_equal(_series_2f1_vec(a[0], b[0], c[0], z[0]), row_sweep(a, b, c, z))
+            blocks = random_blocks(rng, 1, size)
+            a, b, c, z, _ = blocks
+            assert np.array_equal(_series_2f1_vec(*blocks), row_sweep(*blocks))
+            assert np.array_equal(_series_2f1_vec(a[0], b[0], c[0], z), row_sweep(*blocks))
         for _ in range(50):
             blocks = random_blocks(rng, int(rng.integers(2, 4)), size)
             assert np.array_equal(_series_2f1_vec(*blocks), row_sweep(*blocks))
@@ -521,10 +528,10 @@ class TestSeriesSweep:
         # its rows cannot be written, and it holds one column per block,
         # never an array per argument
         specfun._first_chunk.cache_clear()
-        a, b, c, z = random_blocks(np.random.default_rng(2026_191), 3, 192)
-        _series_2f1_vec(a, b, c, z)
+        a, b, c, z, sizes = random_blocks(np.random.default_rng(2026_191), 3, 192)
+        _series_2f1_vec(a, b, c, z, sizes)
         assert specfun._first_chunk.cache_info().currsize == 1
-        ratios, _, ahead = specfun._first_chunk(a, b, c, tuple(float(np.max(v)) for v in z))
+        ratios, _, ahead = specfun._first_chunk(a, b, c, tuple(float(np.max(v)) for v in np.split(z, 3)))
         assert specfun._first_chunk.cache_info().hits == 1
         assert not (ratios.flags.writeable or ahead.flags.writeable)
         assert ratios.shape[1] == 3 and ahead.shape == (2, 3)
