@@ -40,9 +40,9 @@ own second-branch panel; the upper half has no connection coefficients and
 stays at the true eta.  So the nudged path has 6 panels and 9 series
 terms: 1 upper, then 2 per offset.
 
-w is built at two levels by one quadrature.split_rule call per panel
-(depths 0 and 1) from one Gauss-Jacobi rule of order n/2, which keeps the
-endpoint singularity, with Gauss-Legendre panels over the rest of the
+w is built at two levels by one quadrature.split_rule call (depths 0 and
+1) for all panels, each from one Gauss-Jacobi rule of order n/2 that
+keeps the endpoint singularity and Legendre panels over the rest of the
 panel's node variable.  The coarse level scales the rule onto [0, 1/4] and
 adds one order-n Legendre panel on [1/4, 1].  The fine level refines by
 splitting rather than by raising the order: the rule goes onto [0,
@@ -80,8 +80,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import DomainError, EvaluationError, ValidationError
-from .quadrature import MAX_ORDER, _finite_values, gauss_jacobi_rule, integrate, split_rule
-from .specfun import _connection, _is_nonpositive_integer, _series_2f1_vec, gauss_2f1, log_gamma
+from .quadrature import MAX_ORDER, _check_finite, _evaluate, gauss_jacobi_rule, integrate, split_rule
+from .specfun import _connection, _is_integer, _is_nonpositive_integer, _series_2f1_vec, gauss_2f1, log_gamma
 
 __all__ = [
     "OperatorParams",
@@ -198,7 +198,7 @@ def _check_point(x: float) -> None:
 
 
 def _check_order(order: int) -> int:
-    if not isinstance(order, (int, np.integer)) or order < 1 or order > MAX_OPERATOR_ORDER:
+    if not _is_integer(order) or order < 1 or order > MAX_OPERATOR_ORDER:
         raise DomainError(
             f"order must be an integer in [1, {MAX_OPERATOR_ORDER}], got {order!r}"
         )
@@ -251,7 +251,7 @@ def kernel_series(params: OperatorParams, x: float, tau: float, n_terms: int) ->
     increase monotonically toward kernel_closed.
     """
     head, arg = _kernel_log_head(params, x, tau)
-    if not isinstance(n_terms, (int, np.integer)) or n_terms < 1:
+    if not _is_integer(n_terms) or n_terms < 1:
         raise DomainError(f"n_terms must be a positive integer, got {n_terms!r}")
     n_terms = int(n_terms)
     a = params.alpha + params.beta + params.mu
@@ -336,14 +336,15 @@ def _discretize(
     level after level, level i's the weights[i].size after those of the
     levels before it, and I[f](x) ~ w @ f(tau[index]) on that slice.
 
-    Each panel takes one split_rule call at (order, depths): the one
-    Gauss-Jacobi rule of order ceil(order / 2) on [0, 4^-depth sigma] of the
-    panel's node variable.  Depth 0 is the coarse level, uncut; every later
-    depth is a fine level, cut at the kinks (points in (0, x) where an
-    integrand's slope may jump) that fall inside the panel.  A kink tau maps
-    into the upper panel's node variable as v = 2(1 - (tau/x)^(k+1)) when
-    tau > tau_half, and into the lower panels' as t = tau/tau_half when
-    tau < tau_half.
+    The panels take one split_rule call at (order, depths), one lookup of
+    its cache, which holds their arrays concatenated, panel after panel:
+    per panel, the one Gauss-Jacobi rule of order ceil(order / 2) on
+    [0, 4^-depth sigma] of the panel's node variable.  Depth 0 is the
+    coarse level, uncut; every later depth is a fine level, cut at the
+    kinks (points in (0, x) where an integrand's slope may jump) that fall
+    inside the panel.  A kink tau maps into the upper panel's node variable
+    as v = 2(1 - (tau/x)^(k+1)) when tau > tau_half, and into the lower
+    panels' as t = tau/tau_half when tau < tau_half.
 
     Prefactors, Jacobi weights, 2F1 node factors and connection
     coefficients all fold into w, so each discretization depends only on
@@ -412,10 +413,9 @@ def _discretize(
     log_hi = log_pre + ((kp1 * (mu + alpha - 1.0) + k + 1.0) * lx - log(kp1) - alpha * _LOG2)
     log_lo = log_pre + ((kp1 * mu + k + 1.0) * log(tau_half) + kp1 * (alpha - 1.0) * lx)
 
-    nodes, rule_w, levels = zip(*(split_rule(b_exp, order, cuts_hi if upper else cuts_lo, depths)
-                                 for upper, b_exp in panels))
+    nodes, rule_w, levels = split_rule(
+        tuple((b_exp, cuts_hi if upper else cuts_lo) for upper, b_exp in panels), order, depths)
     edges, distinct, w_map, tau_map, bounds = _node_maps(levels)
-    nodes, rule_w = np.concatenate(nodes), np.concatenate(rule_w)
     # near is 1 - u = v/2 on the upper panel and u = t^(k+1)/2 on the lower
     # ones, and far = 1 - near
     hi, lo = slice(0, edges[1]), slice(edges[1], None)
@@ -533,7 +533,11 @@ def operator_images(
     distinct nodes of both levels.  The result is the fine level's value and
     the error estimate is its difference from the coarse level's, so it
     reflects the actual refinement behaviour for this integrand.  A
-    non-finite value of f raises EvaluationError carrying that node tau.
+    non-finite value of f raises EvaluationError carrying the first such
+    node tau, and a finite f whose image overflows raises it with no node.
+    The values are scanned only when a dot product is not finite: every
+    node lies in some level, and an inf or NaN there leaves that level's
+    sum non-finite whatever its weight.
     """
     table = _param_table(params)  # validates params
     _check_point(x)
@@ -542,9 +546,14 @@ def operator_images(
     tau, index, (w_c, w_f) = _discretize(params, table, x, order, (0, 1), _union_of_kinks(fs, x))
     results = []
     for f in fs:
-        values = _finite_values(f, tau, "tau").take(index)
-        coarse = float(w_c @ values[: w_c.size])
-        fine = float(w_f @ values[w_c.size :])
+        raw = _evaluate(f, tau)
+        values = raw.take(index)
+        # vdot runs the same ddot as @, but turns no floating-point flag
+        # (inf * 0, an overflowing sum) into a RuntimeWarning
+        coarse = float(np.vdot(w_c, values[: w_c.size]))
+        fine = float(np.vdot(w_f, values[w_c.size :]))
+        if not (math.isfinite(coarse) and math.isfinite(fine)):
+            _check_finite(raw, tau, "tau")
         estimate = abs(fine - coarse)
         if table.extrapolated:
             estimate = max(estimate, 1e-10 * abs(fine))

@@ -51,6 +51,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import DomainError, HyperkError
 from .fracint import DEFAULT_ORDER, _check_order, operator_images, operator_of_one
+from .specfun import _is_integer
 from .testfuncs import TestInstance, random_instance
 
 __all__ = [
@@ -283,10 +284,10 @@ def run_suite(
     generation or evaluation raises is recorded as an inconclusive row
     carrying the error text, never silently dropped.
     """
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
-    if jobs < 1:
-        raise DomainError(f"jobs must be >= 1, got {jobs}")
+    if not _is_integer(trials) or trials < 1:
+        raise DomainError(f"trials must be an integer >= 1, got {trials!r}")
+    if not _is_integer(jobs) or jobs < 1:
+        raise DomainError(f"jobs must be an integer >= 1, got {jobs!r}")
     order = _check_order(order)
     for tid in theorem_ids:
         if tid not in CHECKERS:

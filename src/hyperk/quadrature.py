@@ -23,11 +23,12 @@ one rule of order n/2, scaled onto [0, 4^-depth sigma], keeps the t^b_exp
 singularity with the error of the order-n rule on [0, 4^(1-depth) sigma],
 and Legendre panels, graded dyadically toward it and split at given
 cuts, cover the rest of [0, 1], where t^b_exp is smooth.  So no rule of
-order n is built for any depth, and one call builds a panel's every
-depth from one Jacobi rule.  Layouts do not depend on b_exp, so they are
-cached apart, and so are their Gauss-Legendre rules, one per order.  The
-last 128 split rules are cached; that is the only cache a Jacobi rule of
-the operator sits in.
+order n is built for any depth, and one call builds every depth of
+every panel of a discretization, each panel's from one Jacobi rule, into
+one pair of arrays.  Layouts do not depend on b_exp, so they are cached
+apart, and so are their Gauss-Legendre rules, one per order.  The last
+48 split rules are cached, one entry per discretization; that is the only
+cache a Jacobi rule of the operator sits in.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, EvaluationError
-from .specfun import beta
+from .specfun import _is_integer, beta
 
 __all__ = ["JacobiRule", "gauss_jacobi_rule", "integrate", "MAX_ORDER"]
 
@@ -154,7 +155,7 @@ def gauss_jacobi_rule(a_exp: float, b_exp: float, order: int) -> JacobiRule:
         raise DomainError(f"gauss_jacobi_rule requires a_exp > -1, got {a_exp!r}")
     if not (math.isfinite(b_exp) and b_exp > -1.0):
         raise DomainError(f"gauss_jacobi_rule requires b_exp > -1, got {b_exp!r}")
-    if not isinstance(order, (int, np.integer)) or order < 1 or order > MAX_ORDER:
+    if not _is_integer(order) or order < 1 or order > MAX_ORDER:
         raise DomainError(
             f"gauss_jacobi_rule requires 1 <= order <= {MAX_ORDER}, got {order!r}"
         )
@@ -249,11 +250,14 @@ def _panel_layout(order: int, cuts: tuple[float, ...], depth: int) -> tuple[floa
     return edges[0], nodes, weights
 
 
-@lru_cache(maxsize=128)
-def split_rule(b_exp: float, order: int, cuts: tuple[float, ...] = (),
+# an entry holds a whole discretization, about three panels, so 48 of them
+# hold about what 128 entries of one panel did
+@lru_cache(maxsize=48)
+def split_rule(panels: tuple[tuple[float, tuple[float, ...]], ...], order: int,
                depths: tuple[int, ...] = (1,)) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Nodes and weights on [0, 1] for the weight t^b_exp, refined by
-    splitting, at each depth d of depths: (nodes, weights, spans).
+    splitting, for each (b_exp, cuts) of panels at each depth d of depths:
+    (nodes, weights, spans), every panel's arrays after the one before.
 
     Depth d scales the Gauss-Jacobi rule of order ceil(order / 2) onto
     [0, h], h = sigma * 4^-d, with sigma = min(1/4, first cut) for d > 0
@@ -273,22 +277,29 @@ def split_rule(b_exp: float, order: int, cuts: tuple[float, ...] = (),
     rule on [0, h] has the error of the order-`order` rule on [0, 4h], from
     an eigenproblem of half the size.
 
-    The arrays hold one head per depth, then the deepest layout at each
-    cut flag, uncut first, whose tails are the shallower depths' layouts:
-    spans[i] = (a, b, c, d) gives depths[i] as [a:b] then [c:d] of both.
+    A panel's arrays hold one head per depth, then the deepest layout at
+    each cut flag, uncut first, whose tails are the shallower depths'
+    layouts: spans[p][i] = (a, b, c, d) gives depths[i] of panels[p] as
+    [a:b] then [c:d] of that panel's arrays, which start where the panels
+    before it end (at the largest d of each earlier panel's spans).
     Layouts and spans are cached apart (_split_layout), so a fresh b_exp
-    costs the Jacobi rule and one t^b_exp per distinct layout node.
+    costs the Jacobi rule and one t^b_exp per distinct layout node.  A
+    discretization takes one call, and so one cache lookup, for all its
+    panels.
     """
-    if not all(0.0 < c < 1.0 for c in cuts):
-        raise DomainError(f"split_rule requires cuts inside (0, 1), got {cuts!r}")
-    rule = gauss_jacobi_rule(0.0, b_exp, (order + 1) // 2)
-    hs, layouts, spans = _split_layout(order, cuts, depths)
-    nodes = np.concatenate([h * rule.nodes for h in hs] + [t for _, t, _ in layouts])
-    weights = np.concatenate([h ** (b_exp + 1.0) * rule.weights for h in hs]
-                             + [w * t ** b_exp for _, t, w in layouts])
+    nodes, weights, spans = [], [], []
+    for b_exp, cuts in panels:
+        if not all(0.0 < c < 1.0 for c in cuts):
+            raise DomainError(f"split_rule requires cuts inside (0, 1), got {cuts!r}")
+        rule = gauss_jacobi_rule(0.0, b_exp, (order + 1) // 2)
+        hs, layouts, panel_spans = _split_layout(order, cuts, depths)
+        nodes += [h * rule.nodes for h in hs] + [t for _, t, _ in layouts]
+        weights += [h ** (b_exp + 1.0) * rule.weights for h in hs] + [w * t ** b_exp for _, t, w in layouts]
+        spans.append(panel_spans)
+    nodes, weights = np.concatenate(nodes), np.concatenate(weights)
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return nodes, weights, spans
+    return nodes, weights, tuple(spans)
 
 
 @lru_cache(maxsize=128)
@@ -316,18 +327,23 @@ def integrate(rule: JacobiRule, smooth_part: Callable[[np.ndarray], np.ndarray])
     broadcasting covers the usual lambdas).  A non-finite value at any
     node raises EvaluationError carrying that node.
     """
-    return float(rule.weights @ _finite_values(smooth_part, rule.nodes, "quadrature node u"))
+    values = _evaluate(smooth_part, rule.nodes)
+    _check_finite(values, rule.nodes, "quadrature node u")
+    return float(rule.weights @ values)
 
 
-def _finite_values(f: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray, label: str) -> np.ndarray:
-    """f on the whole node array, broadcast to its shape.  A non-finite
-    value raises EvaluationError carrying the first such node, named label
-    in the message."""
+def _evaluate(f: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray) -> np.ndarray:
+    """f on the whole node array, broadcast to its shape."""
     values = np.asarray(f(nodes), dtype=float)
     if values.shape != nodes.shape:
         values = np.broadcast_to(values, nodes.shape)
+    return values
+
+
+def _check_finite(values: np.ndarray, nodes: np.ndarray, label: str) -> None:
+    """Raise EvaluationError carrying the first node whose value is not
+    finite, named label in the message, if there is one."""
     bad = ~np.isfinite(values)
     if np.any(bad):
         node = float(nodes[np.argmax(bad)])
         raise EvaluationError(f"integrand is not finite at {label} = {node!r}", node=node)
-    return values

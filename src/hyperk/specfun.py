@@ -119,6 +119,12 @@ def _log_gamma_unchecked(x: float) -> float:
     return fsum([p, pe, (z + 0.5) * llo, -t, _HALF_LOG_2PI, log(acc)])
 
 
+def _is_integer(value) -> bool:
+    """value is an int or a numpy integer, and not a bool, which would
+    pass for 0 or 1."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _is_nonpositive_integer(v: float) -> bool:
     return v < 0.5 and abs(v - round(v)) < _INTEGER_TOL
 
@@ -188,7 +194,7 @@ def _connection(a: float, b: float, c: float, s: float, lg_c: float, sign_c: flo
 
 def pochhammer(a: float, n: int) -> float:
     """Rising factorial a (a+1) ... (a+n-1), with the empty product for n = 0."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
+    if not _is_integer(n) or n < 0:
         raise DomainError(f"pochhammer requires a non-negative integer n, got {n!r}")
     result = 1.0
     for i in range(n):
@@ -290,7 +296,8 @@ def _series_2f1_vec(a, b, c, z, sizes=None) -> np.ndarray:
     ends = list(accumulate(sizes))
     widest = np.maximum.reduceat(flat, [0, *ends[:-1]])  # z >= 0: the largest
     ratios, may_stop, ahead = _first_chunk(tuple(a), tuple(b), tuple(c), tuple(widest.tolist()))
-    term, total = np.ones((2, flat.size))
+    if flat.size == 1:
+        term, total = np.ones((2, 1))
     start = 0
     while True:
         rz = np.repeat(ratios, sizes, axis=1)
@@ -300,12 +307,15 @@ def _series_2f1_vec(a, b, c, z, sizes=None) -> np.ndarray:
                 term *= ratio
                 total += term
         else:
+            # the first chunk's term 0 is the exact 1.0, so it multiplies
+            # nothing and adds 1.0 to the first row
+            rows = list(rz)
             if start:
-                rz[0] *= term
-            for prev, cur in zip(rz, rz[1:]):
+                rows[0] *= term
+            for prev, cur in zip(rows, rows[1:]):
                 cur *= prev
-            term = rz[-1].copy()
-            rz[0] += total
+            term = rows[-1].copy()
+            rows[0] += total if start else 1.0
             total = np.add.reduce(rz, axis=0)
         if may_stop and (np.abs(term) <= _SERIES_RTOL * np.abs(total)).all():
             return total

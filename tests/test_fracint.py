@@ -293,6 +293,43 @@ class TestOperatorImages:
             operator_images(strict_params(2), [ONE, blows_up, ONE], x)
         assert 0.0 < exc_info.value.node < x
 
+    @pytest.mark.parametrize("part", [(0.0, 0.2), (0.3, 0.6), (0.8, 1.0)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("order", [16, 64])
+    @pytest.mark.parametrize("path", PATH_CASES)
+    def test_nonfinite_values_name_the_first_such_node(self, path, order, bad, part):
+        """An integrand that is NaN or infinite on part of (0, x) raises
+        EvaluationError naming the first distinct node, in tau's order, at
+        which it is not finite, and every integrand runs once."""
+        x = 1.3
+        lo, hi = part[0] * x, part[1] * x
+        calls = []
+
+        def partly_bad(t):
+            calls.append("bad")
+            return np.where((lo < t) & (t < hi), bad, 1.0)
+
+        def one(t):
+            calls.append("one")
+            return np.ones_like(t)
+
+        params = PATH_CASES[path]
+        with pytest.raises(EvaluationError, match="integrand is not finite at tau") as exc_info:
+            operator_images(params, [one, partly_bad, one], x, order)
+        tau = fracint._discretize(params, fracint._param_table(params), x, order, (0, 1))[0]
+        assert exc_info.value.node == tau[(lo < tau) & (tau < hi)][0]
+        assert calls == ["one", "bad"]
+
+    @pytest.mark.parametrize("path", PATH_CASES)
+    def test_finite_values_with_an_overflowing_image_raise(self, path):
+        """1.7e308 is finite at every node, but I[1](1.3) exceeds 1.06 on
+        every path, so the image overflows: the error names no node, and no
+        floating-point warning is raised on the way."""
+        assert operator_of_one(PATH_CASES[path], 1.3) > 1.06
+        with pytest.raises(EvaluationError, match="operator value is not finite") as exc_info:
+            apply_operator(PATH_CASES[path], AffineFn(1.7e308, 0.0), 1.3)
+        assert exc_info.value.node is None
+
     @pytest.mark.parametrize("kinks", [(), (0.4, 0.9, 1.25)])
     @pytest.mark.parametrize("path,distinct", [("split", 368), ("terminating", 304), ("nudged", 560)])
     def test_each_integrand_runs_once_on_distinct_nodes(self, path, distinct, kinks):
@@ -780,17 +817,20 @@ def test_checked_oracle_rejects_values_that_move_with_precision():
         inst.params, (inst.f,), inst.x, dps=45)
 
 
-def order_n_split_rule(b_exp, order, cuts=(), depths=(0, 1)):
+def order_n_split_rule(panels, order, depths=(0, 1)):
     """The two levels before split_rule took a half-order rule one level
-    deeper, in split_rule's form: the plain order-n Gauss-Jacobi rule at
-    depth 0, and at depth 1 that rule scaled onto [0, sigma] ahead of
-    split_rule's depth-0 Legendre panels on [sigma, 1]."""
+    deeper, in split_rule's form: per panel, the plain order-n Gauss-Jacobi
+    rule at depth 0, and at depth 1 that rule scaled onto [0, sigma] ahead
+    of split_rule's depth-0 Legendre panels on [sigma, 1]."""
     assert depths == (0, 1)
-    rule = gauss_jacobi_rule(0.0, b_exp, order)
-    sigma, t, w = quadrature._panel_layout(order, cuts, 0)
-    return (np.concatenate((rule.nodes, sigma * rule.nodes, t)),
-            np.concatenate((rule.weights, sigma ** (b_exp + 1.0) * rule.weights, w * t ** b_exp)),
-            ((0, order, 2 * order, 2 * order), (order, 2 * order, 2 * order, 2 * order + t.size)))
+    nodes, weights, spans = [], [], []
+    for b_exp, cuts in panels:
+        rule = gauss_jacobi_rule(0.0, b_exp, order)
+        sigma, t, w = quadrature._panel_layout(order, cuts, 0)
+        nodes += [rule.nodes, sigma * rule.nodes, t]
+        weights += [rule.weights, sigma ** (b_exp + 1.0) * rule.weights, w * t ** b_exp]
+        spans.append(((0, order, 2 * order, 2 * order), (order, 2 * order, 2 * order, 2 * order + t.size)))
+    return np.concatenate(nodes), np.concatenate(weights), tuple(spans)
 
 
 def has_branch_point(fn):

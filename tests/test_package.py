@@ -1,12 +1,15 @@
 """The package's export list: hyperk.__all__ re-exports its modules' own,
-and the census of its caches: each one has to be reused by the traffic."""
+the census of its caches: each one has to be reused by the traffic, and
+the integer counts its entry points check."""
 
 import importlib
 
+import pytest
+
 import hyperk
-from hyperk import THEOREM_IDS, apply_operator
+from hyperk import THEOREM_IDS, DomainError, apply_operator
 from hyperk.inequalities import _suite_row
-from test_fracint import PATH_CASES, SWEEP_FNS
+from test_fracint import ONE, PATH_CASES, SWEEP_FNS
 
 PUBLIC = [
     "HyperkError", "DomainError", "ValidationError", "ConvergenceError",
@@ -84,3 +87,25 @@ def test_every_cache_is_reused():
               for key, cache in caches.items()
               if campaign[key].hits == 0 and cache.cache_info().hits == warm[key].hits]
     assert not unused, unused
+
+
+SPLIT = PATH_CASES["split"]
+
+
+@pytest.mark.parametrize("call", [
+    lambda flag: hyperk.apply_operator(SPLIT, ONE, 1.3, order=flag),
+    lambda flag: hyperk.operator_images(SPLIT, [ONE], 1.3, order=flag),
+    lambda flag: hyperk.rl_k_integral(1.0, 0.0, ONE, 1.3, order=flag),
+    lambda flag: hyperk.kernel_series(SPLIT, 1.3, 0.7, flag),
+    lambda flag: hyperk.gauss_jacobi_rule(0.0, 0.0, flag),
+    lambda flag: hyperk.pochhammer(0.5, flag),
+    lambda flag: hyperk.run_suite(["3.1"], trials=flag),
+    lambda flag: hyperk.run_suite(["3.1"], trials=1, jobs=flag),
+    lambda flag: hyperk.run_suite(["3.1"], trials=1, order=flag),
+], ids=["apply_operator", "operator_images", "rl_k_integral", "kernel_series", "gauss_jacobi_rule",
+        "pochhammer", "run_suite-trials", "run_suite-jobs", "run_suite-order"])
+def test_integer_counts_reject_bool(call):
+    """True is an int in Python, but no order or count means it: each
+    check raises DomainError for it rather than running with 1."""
+    with pytest.raises(DomainError):
+        call(True)

@@ -382,8 +382,9 @@ SPLIT_CUTS = [(), (0.01,), (0.4, 0.7), (0.1, 0.3, 0.55, 0.8)]
 
 
 def split_levels(b_exp, order, cuts=(), depths=(0, 1)):
-    """split_rule's (nodes, weights) at each depth, read through its spans."""
-    nodes, weights, spans = split_rule(b_exp, order, cuts, depths)
+    """A one-panel split_rule's (nodes, weights) at each depth, read through
+    its spans."""
+    nodes, weights, (spans,) = split_rule(((b_exp, cuts),), order, depths)
     return [tuple(np.concatenate((array[a:b], array[c:d])) for array in (nodes, weights))
             for a, b, c, d in spans]
 
@@ -401,7 +402,7 @@ def test_split_rule_without_cuts_halves_the_interval(b_exp):
     to degree 127.  Both levels come from one call, which holds the
     depth-0 layout once, as the depth-1 layout's tail."""
     rule = gauss_jacobi_rule(0.0, b_exp, 32)
-    assert split_rule(b_exp, 64, (), (0, 1))[0].size == 2 * 32 + 24 + 64
+    assert split_rule(((b_exp, ()),), 64, (0, 1))[0].size == 2 * 32 + 24 + 64
     for depth, (nodes, weights) in enumerate(split_levels(b_exp, 64)):
         h = 0.25 ** (depth + 1)
         assert nodes.size == weights.size == 32 + 24 * depth + 64
@@ -426,9 +427,28 @@ def test_split_rule_levels_equal_their_depths_built_alone(b_exp, cuts, depths):
                  np.concatenate((h ** (b_exp + 1.0) * rule.weights, w * t ** b_exp)))
         for got, want in zip(level, alone):
             assert got.tobytes() == want.tobytes(), depth
-    nodes, weights, spans = split_rule(b_exp, 64, cuts, depths)
+    nodes, weights, (spans,) = split_rule(((b_exp, cuts),), 64, depths)
     assert nodes.size == weights.size == np.unique(nodes).size
     assert {i for a, b, c, d in spans for i in (*range(a, b), *range(c, d))} == set(range(nodes.size))
+
+
+@pytest.mark.parametrize("depths", [(0, 1), (0, 1, 2)])
+def test_split_rule_panels_equal_each_panel_built_alone(depths):
+    """One call over many panels holds each panel's arrays, bit for bit as
+    a call of that panel alone, after the panels before it, with the spans
+    that call gives."""
+    panels = tuple(itertools.product(SPLIT_EXPONENTS, SPLIT_CUTS))
+    nodes, weights, spans = split_rule(panels, 64, depths)
+    start = 0
+    for panel, panel_spans in zip(panels, spans, strict=True):
+        alone = split_rule((panel,), 64, depths)
+        assert panel_spans == alone[2][0]
+        stop = start + alone[0].size
+        assert stop == start + max(d for _, _, _, d in panel_spans)
+        for got, want in zip((nodes[start:stop], weights[start:stop]), alone):
+            assert got.tobytes() == want.tobytes(), panel
+        start = stop
+    assert nodes.size == weights.size == start
 
 
 @pytest.mark.parametrize("cuts", SPLIT_CUTS[1:])
@@ -488,7 +508,9 @@ def test_half_order_rule_a_level_deeper_keeps_the_leading_error(b_exp):
 @pytest.mark.parametrize("cuts", [(0.0,), (0.5, 1.0), (-0.2,)])
 def test_split_rule_rejects_cuts_outside_the_interval(cuts):
     with pytest.raises(DomainError):
-        split_rule(0.0, 8, cuts)
+        split_rule(((0.0, cuts),), 8)
+    with pytest.raises(DomainError):
+        split_rule(((0.0, ()), (0.5, cuts)), 8)
 
 
 def _digest(pairs):
