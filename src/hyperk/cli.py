@@ -441,111 +441,95 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _first_miss(cases) -> str | None:
+    """The first (label, got, want, allowance) case with not
+    |got - want| <= allowance, as a message, or None if every case passes.
+    A NaN on either side fails, and so does inf against inf.  Cases are
+    drawn one at a time, so none after the first miss is computed."""
+    for label, got, want, allowance in cases:
+        if not abs(got - want) <= allowance:
+            return f"{label} = {got!r}, want {want!r}"
+    return None
+
+
 def _selftest_checks():
-    ln = math.log
+    """(name, check) pairs; check() runs one generator of golden cases
+    through _first_miss and gives None or the first miss."""
 
-    def golden_log_gamma():
-        cases = [(1.0, 0.0), (5.0, ln(24.0)), (0.5, 0.5 * ln(math.pi))]
-        for x, want in cases:
-            got = log_gamma(x)
-            if abs(got - want) > 1e-13 * max(1.0, abs(want)):
-                return f"log_gamma({x}) = {got!r}, want {want!r}"
-        return None
+    def log_gamma_cases():
+        for x, want in ((1.0, 0.0), (5.0, math.log(24.0)), (0.5, 0.5 * math.log(math.pi))):
+            yield f"log_gamma({x})", log_gamma(x), want, 1e-13 * max(1.0, abs(want))
 
-    def golden_poch_beta():
-        if abs(pochhammer(3.0, 2) - 12.0) > 1e-12:
-            return "pochhammer(3, 2) != 12"
-        if abs(pochhammer(0.5, 3) - 1.875) > 1e-12:
-            return "pochhammer(0.5, 3) != 1.875"
-        if abs(beta(0.5, 0.5) - math.pi) > 1e-12 * math.pi:
-            return "beta(0.5, 0.5) != pi"
-        if abs(beta(2.0, 3.0) - 1.0 / 12.0) > 1e-13:
-            return "beta(2, 3) != 1/12"
-        return None
+    def poch_beta_cases():
+        yield "pochhammer(3, 2)", pochhammer(3.0, 2), 12.0, 1e-12
+        yield "pochhammer(0.5, 3)", pochhammer(0.5, 3), 1.875, 1e-12
+        yield "beta(0.5, 0.5)", beta(0.5, 0.5), math.pi, 1e-12 * math.pi
+        yield "beta(2, 3)", beta(2.0, 3.0), 1.0 / 12.0, 1e-13
 
-    def golden_2f1():
-        want = 2.0 * ln(2.0)
-        got = gauss_2f1(1.0, 1.0, 2.0, 0.5)
-        if abs(got - want) > 1e-12 * want:
-            return f"2F1(1,1;2;0.5) = {got!r}, want {want!r}"
+    def hypergeometric_cases():
+        want = 2.0 * math.log(2.0)
+        yield "2F1(1,1;2;0.5)", gauss_2f1(1.0, 1.0, 2.0, 0.5), want, 1e-12 * want
         want = math.exp(log_gamma(1.5) + log_gamma(1.0) - log_gamma(1.2) - log_gamma(1.3))
-        got = gauss_2f1(0.3, 0.2, 1.5, 1.0)
-        if abs(got - want) > 1e-12 * want:
-            return f"2F1(0.3,0.2;1.5;1) = {got!r}, want {want!r}"
+        yield "2F1(0.3,0.2;1.5;1)", gauss_2f1(0.3, 0.2, 1.5, 1.0), want, 1e-12 * want
         coeffs = [1.0]
         a, b, c = -3.0, 2.0, 1.5
         for n in range(3):
             coeffs.append(coeffs[-1] * (a + n) * (b + n) / ((c + n) * (n + 1)) * 0.7)
         want = math.fsum(coeffs)
-        got = gauss_2f1(a, b, c, 0.7)
-        if abs(got - want) > 1e-12 * max(1.0, abs(want)):
-            return "terminating 2F1 mismatch"
-        return None
+        yield "2F1(-3,2;1.5;0.7)", gauss_2f1(a, b, c, 0.7), want, 1e-12 * max(1.0, abs(want))
 
-    def quadrature_sanity():
+    def quadrature_cases():
         rule = gauss_jacobi_rule(0.0, 0.0, 1)
-        if abs(rule.nodes[0] - 0.5) > 1e-15 or abs(rule.weights[0] - 1.0) > 1e-15:
-            return "order-1 Legendre rule is off"
+        yield "order-1 Legendre node", float(rule.nodes[0]), 0.5, 1e-15
+        yield "order-1 Legendre weight", float(rule.weights[0]), 1.0, 1e-15
         rule = gauss_jacobi_rule(0.0, 0.0, 2)
-        want = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
-        if max(abs(rule.nodes[0] - want[0]), abs(rule.nodes[1] - want[1])) > 1e-14:
-            return "order-2 Legendre nodes are off"
+        for j, want in enumerate((0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))):
+            yield f"order-2 Legendre node {j}", float(rule.nodes[j]), want, 1e-14
         rule = gauss_jacobi_rule(-0.5, 0.25, 8)
         for j in range(16):
-            got = float(rule.weights @ rule.nodes ** j)
             want = beta(j + 1.25, 0.5)
-            if abs(got - want) > 1e-10 * want:
-                return f"moment {j} of the (-0.5, 0.25) rule is off by {abs(got - want):.2e}"
-        return None
+            yield (f"moment {j} of the (-0.5, 0.25) rule", float(rule.weights @ rule.nodes ** j),
+                   want, 1e-10 * want)
 
-    def reduction_identity():
+    def reduction_cases():
         f = AffineFn(1.0, 1.0)
         for alpha, k in ((0.7, 0.0), (1.3, 1.0), (0.9, 0.5)):
             params = OperatorParams(alpha, -alpha, -0.3, 0.0, k,
                                     validation_mode=DEFINITION_ONLY)
-            got = apply_operator(params, f, 1.5, order=48).value
             want = rl_k_integral(alpha, k, f, 1.5, order=48)
-            if abs(got - want) > 1e-10 * max(1.0, abs(want)):
-                return f"reduction at alpha={alpha}, k={k}: {got!r} vs {want!r}"
-        return None
+            yield (f"reduction at alpha={alpha}, k={k}", apply_operator(params, f, 1.5, order=48).value,
+                   want, 1e-10 * max(1.0, abs(want)))
 
-    def kernel_agreement():
+    def kernel_cases():
         for params in (OperatorParams(0.5, 0.2, -0.4, 0.0, 0.0),
                        OperatorParams(1.2, -0.3, -0.2, 0.3, 1.0)):
-            x = 1.5
             for tau in (0.9, 1.1, 1.3):
-                closed = kernel_closed(params, x, tau)
-                series = kernel_series(params, x, tau, n_terms=200)
-                if abs(closed - series) > 1e-10 * max(1.0, abs(closed)):
-                    return f"kernel series disagrees at tau={tau}"
-        return None
+                want = kernel_closed(params, 1.5, tau)
+                yield (f"kernel series at alpha={params.alpha}, tau={tau}",
+                       kernel_series(params, 1.5, tau, n_terms=200), want, 1e-10 * max(1.0, abs(want)))
 
-    def one_closed_form():
+    def unit_image_cases():
         params = OperatorParams(0.5, 0.2, -0.4, 0.0, 0.0)
         want = math.exp(log_gamma(0.4) - log_gamma(0.8) - log_gamma(1.1))
-        got = operator_of_one(params, 1.0)
-        if abs(got - want) > 1e-12 * want:
-            return "closed form for the unit image is off at the reference point"
+        yield "unit closed form at x=1.0", operator_of_one(params, 1.0), want, 1e-12 * want
         one = AffineFn(1.0, 0.0)
         for params in (OperatorParams(0.8, -0.2, -0.5, 0.25, 1.0),
                        OperatorParams(1.4, 0.3, -0.35, 0.1, 0.6),
                        OperatorParams(0.5, 0.2, -0.4, 0.0, 2.0)):
             for x in (0.7, 2.0):
-                got = apply_operator(params, one, x, order=64).value
                 want = operator_of_one(params, x)
-                if abs(got - want) > 1e-8 * max(1.0, abs(want)):
-                    return f"unit image mismatch at x={x}: {got!r} vs {want!r}"
-        return None
+                yield (f"unit image at alpha={params.alpha}, x={x}",
+                       apply_operator(params, one, x, order=64).value, want, 1e-8 * max(1.0, abs(want)))
 
-    return [
-        ("log-gamma golden values", golden_log_gamma),
-        ("pochhammer and beta golden values", golden_poch_beta),
-        ("hypergeometric golden values", golden_2f1),
-        ("quadrature nodes and moments", quadrature_sanity),
-        ("reduction to the plain fractional integral", reduction_identity),
-        ("kernel series against closed form", kernel_agreement),
-        ("unit image against its closed form", one_closed_form),
-    ]
+    return [(name, lambda cases=cases: _first_miss(cases())) for name, cases in (
+        ("log-gamma golden values", log_gamma_cases),
+        ("pochhammer and beta golden values", poch_beta_cases),
+        ("hypergeometric golden values", hypergeometric_cases),
+        ("quadrature nodes and moments", quadrature_cases),
+        ("reduction to the plain fractional integral", reduction_cases),
+        ("kernel series against closed form", kernel_cases),
+        ("unit image against its closed form", unit_image_cases),
+    )]
 
 
 def _cmd_selftest(args) -> int:

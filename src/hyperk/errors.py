@@ -39,9 +39,12 @@ class DivergenceError(HyperkError):
 
 
 class EvaluationError(HyperkError):
-    """An integrand produced a non-finite value at a quadrature node.
+    """An integrand produced a non-finite value at a quadrature node, or a
+    result is not finite.
 
-    Carries the offending node in the ``node`` attribute.
+    Carries the offending node in the ``node`` attribute; it is None for a
+    result that is not finite although every integrand value was, such as
+    a sum or a scale that overflows.
     """
 
     def __init__(self, message: str, node: float | None = None):

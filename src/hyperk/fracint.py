@@ -197,6 +197,14 @@ def _check_point(x: float) -> None:
         raise DomainError(f"evaluation point must be a positive real, got {x!r}")
 
 
+def _exp(v: float, what: str) -> float:
+    """exp(v), raising EvaluationError with no node where it overflows."""
+    try:
+        return exp(v)
+    except OverflowError:
+        raise EvaluationError(f"{what} is not finite: exp({v!r}) overflows") from None
+
+
 def _check_order(order: int) -> int:
     if not _is_integer(order) or order < 1 or order > MAX_OPERATOR_ORDER:
         raise DomainError(
@@ -209,12 +217,13 @@ def _check_order(order: int) -> int:
 # kernel
 
 
-def _kernel_log_head(params: OperatorParams, x: float, tau: float) -> tuple[float, float]:
-    """(log of the n=0 series term, series argument 1 - (tau/x)^(k+1)),
-    after checking params, x and 0 < tau < x.
+def _kernel_head(params: OperatorParams, x: float, tau: float) -> tuple[float, float]:
+    """(the n=0 series term, series argument 1 - (tau/x)^(k+1)), after
+    checking params, x and 0 < tau < x.
 
     The head collects every factor of the kernel except the 2F1 sum, with
-    all powers of x and tau taken in log space.
+    all powers of x and tau taken in log space.  A head that overflows
+    raises EvaluationError.
     """
     validate(params)
     _check_point(x)
@@ -223,14 +232,14 @@ def _kernel_log_head(params: OperatorParams, x: float, tau: float) -> tuple[floa
     alpha, beta_, mu, k = params.alpha, params.beta, params.mu, params.k
     kp1 = k + 1.0
     z_low = (tau / x) ** kp1
-    head = (
+    log_head = (
         (mu + beta_ + 1.0) * log(kp1)
         + kp1 * (-alpha - beta_ - 2.0 * mu) * log(x)
         + kp1 * mu * log(tau)
         + (alpha - 1.0) * (kp1 * log(x) + math.log1p(-z_low))
         - log_gamma(alpha)
     )
-    return head, 1.0 - z_low
+    return _exp(log_head, "kernel head"), 1.0 - z_low
 
 
 def kernel_closed(params: OperatorParams, x: float, tau: float) -> float:
@@ -239,9 +248,9 @@ def kernel_closed(params: OperatorParams, x: float, tau: float) -> float:
     This excludes the tau^k measure factor, which the operator carries
     separately next to f(tau).  Positive throughout the admissible window.
     """
-    head, arg = _kernel_log_head(params, x, tau)
+    head, arg = _kernel_head(params, x, tau)
     a = params.alpha + params.beta + params.mu
-    return exp(head) * gauss_2f1(a, -params.eta, params.alpha, arg)
+    return head * gauss_2f1(a, -params.eta, params.alpha, arg)
 
 
 def kernel_series(params: OperatorParams, x: float, tau: float, n_terms: int) -> float:
@@ -250,7 +259,7 @@ def kernel_series(params: OperatorParams, x: float, tau: float, n_terms: int) ->
     Under the strict window every term is positive, so the partial sums
     increase monotonically toward kernel_closed.
     """
-    head, arg = _kernel_log_head(params, x, tau)
+    head, arg = _kernel_head(params, x, tau)
     if not _is_integer(n_terms) or n_terms < 1:
         raise DomainError(f"n_terms must be a positive integer, got {n_terms!r}")
     n_terms = int(n_terms)
@@ -258,7 +267,7 @@ def kernel_series(params: OperatorParams, x: float, tau: float, n_terms: int) ->
     b = -params.eta
     alpha = params.alpha
     terms = np.empty(n_terms)
-    terms[0] = exp(head)
+    terms[0] = head
     if n_terms > 1:
         n = np.arange(n_terms - 1, dtype=float)
         ratios = (a + n) * (b + n) / ((alpha + n) * (n + 1.0)) * arg
@@ -352,7 +361,8 @@ def _discretize(
     f.  table is _param_table(params), which the caller has looked up: the
     panels, the series blocks in summation order and log Gamma(alpha), once
     per OperatorParams.  What is left here is per-point work: the
-    prefactor, each term's scale, the nodes and their formulas.
+    prefactor, each term's scale, the nodes and their formulas.  A scale
+    that overflows raises EvaluationError with no node.
 
     Each piece of a point is held once: split_rule holds a panel's head at
     each depth and each distinct layout once, and the later lower panels
@@ -439,8 +449,11 @@ def _discretize(
         z, rule_w, smooth = (np.concatenate((array, *(array[span] for span in spans)))
                              for array in (z, rule_w, smooth))
         sizes += [sizes[i] for i in further]
-    w = np.repeat([coef * exp((log_lo if i else log_hi) + log_c - shift)
-                   for i, _, coef, log_c, shift in terms], sizes)
+    try:
+        scales = [coef * exp((log_lo if i else log_hi) + log_c - shift) for i, _, coef, log_c, shift in terms]
+    except OverflowError:
+        raise EvaluationError(f"an operator term's scale is not finite at x = {x!r}") from None
+    w = np.repeat(scales, sizes)
     w *= rule_w
     w *= smooth
     w *= _series_2f1_vec(*abc, z, sizes)
@@ -534,7 +547,8 @@ def operator_images(
     the error estimate is its difference from the coarse level's, so it
     reflects the actual refinement behaviour for this integrand.  A
     non-finite value of f raises EvaluationError carrying the first such
-    node tau, and a finite f whose image overflows raises it with no node.
+    node tau, and a finite f whose image overflows, or weights that
+    overflow, raise it with no node.
     The values are scanned only when a dot product is not finite: every
     node lies in some level, and an inf or NaN there leaves that level's
     sum non-finite whatever its weight.
@@ -602,13 +616,14 @@ def operator_of_one(params: OperatorParams, x: float) -> float:
                 f"operator_of_one needs every Gamma argument positive; {name} = {v}"
             )
     kp1 = k + 1.0
-    return exp(
+    return _exp(
         (mu + beta_) * log(kp1)
         - kp1 * (beta_ + mu) * log(x)
         + log_gamma(mu + 1.0)
         + log_gamma(1.0 - beta_ + eta)
         - log_gamma(1.0 - beta_)
-        - log_gamma(alpha + mu + eta + 1.0)
+        - log_gamma(alpha + mu + eta + 1.0),
+        "operator_of_one",
     )
 
 
@@ -630,7 +645,8 @@ def rl_k_integral(
     main operator degenerates to exactly this at beta = -alpha,
     mu = eta = 0; the code stays separate from _discretize so that the
     reduction checks compare two independent implementations.  Its two
-    rules are built on every call, uncached.
+    rules are built on every call, uncached.  A value that is not finite
+    raises EvaluationError, with no node when f is finite.
     """
     if not (math.isfinite(alpha) and alpha >= 0.05):
         raise DomainError(f"rl_k_integral requires alpha >= 0.05, got {alpha!r}")
@@ -645,7 +661,7 @@ def rl_k_integral(
 
     rule_hi = gauss_jacobi_rule(0.0, alpha - 1.0, n)
     hi = integrate(rule_hi, lambda v: f(x * (1.0 - 0.5 * v) ** inv_kp1))
-    total = exp(log_pre - alpha * _LOG2) * hi
+    total = _exp(log_pre - alpha * _LOG2, "rl_k_integral scale") * hi
 
     tau_half = x * 2.0 ** (-inv_kp1)
     rule_lo = gauss_jacobi_rule(0.0, k, n)
@@ -653,11 +669,14 @@ def rl_k_integral(
         rule_lo,
         lambda t: (1.0 - 0.5 * t ** kp1) ** (alpha - 1.0) * f(tau_half * t),
     )
-    total += exp(
+    total += _exp(
         (1.0 - alpha) * log(kp1)
         - log_gamma(alpha)
         + kp1 * log(tau_half)
-        + kp1 * (alpha - 1.0) * log(x)
+        + kp1 * (alpha - 1.0) * log(x),
+        "rl_k_integral scale",
     ) * lo
+    if not math.isfinite(total):
+        raise EvaluationError(f"rl_k_integral value is not finite: {total!r}")
     return total
 

@@ -325,11 +325,19 @@ def integrate(rule: JacobiRule, smooth_part: Callable[[np.ndarray], np.ndarray])
 
     ``smooth_part`` must accept the whole node array at once (numpy
     broadcasting covers the usual lambdas).  A non-finite value at any
-    node raises EvaluationError carrying that node.
+    node raises EvaluationError carrying that node, and a finite
+    integrand whose sum overflows raises it with no node.  The values are
+    scanned only when the sum is not finite: the weights are positive, so
+    an inf or NaN value leaves the sum non-finite.
     """
     values = _evaluate(smooth_part, rule.nodes)
-    _check_finite(values, rule.nodes, "quadrature node u")
-    return float(rule.weights @ values)
+    # vdot runs the same ddot as @, but turns no floating-point flag into
+    # a RuntimeWarning
+    total = float(np.vdot(rule.weights, values))
+    if not math.isfinite(total):
+        _check_finite(values, rule.nodes, "quadrature node u")
+        raise EvaluationError(f"integral is not finite: {total!r}")
+    return total
 
 
 def _evaluate(f: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray) -> np.ndarray:

@@ -65,9 +65,12 @@ _TERM_INDEX.flags.writeable = False
 
 
 def _two_prod(a: float, b: float) -> tuple[float, float]:
-    """Exact product a*b as a head/tail pair (Dekker splitting)."""
+    """Exact product a*b as a head/tail pair (Dekker splitting).  Where
+    the split of a overflows (a above about 1.34e300) the tail is 0.0."""
     p = a * b
     s = 134217729.0 * a
+    if math.isinf(s):
+        return p, 0.0
     ah = s - (s - a)
     al = a - ah
     s = 134217729.0 * b
@@ -95,7 +98,8 @@ def log_gamma(x: float) -> float:
     The relative error of exp(log_gamma(x)) stays below 1e-13 on
     [0.1, 170].  The dominant rounding hazard is the (z + 1/2) * log(t)
     product for large x, so that term is carried as a head/tail pair and
-    the pieces are combined with an exact sum.
+    the pieces are combined with an exact sum.  Subnormal x and x up to
+    about 2.5e305 get finite values; beyond that the value is inf.
     """
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x!r}")
@@ -107,8 +111,11 @@ def _log_gamma_unchecked(x: float) -> float:
     if x == 1.0 or x == 2.0:
         return 0.0
     if x < 0.5:
-        # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return log(pi / abs(sin(pi * x))) - _log_gamma_unchecked(1.0 - x)
+        # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x); the quotient
+        # overflows only for |x| below about 1.7e-308, where sin(pi x) is
+        # pi x in double precision
+        q = pi / abs(sin(pi * x))
+        return (log(q) if q != math.inf else -log(abs(x))) - _log_gamma_unchecked(1.0 - x)
     z = x - 1.0
     acc = _LANCZOS_C[0]
     for i, c in _LANCZOS_TERMS:

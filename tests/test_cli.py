@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from hyperk import cli, random_instance
+from hyperk import OperatorResult, cli, random_instance
 from hyperk.inequalities import InequalityReport
 
 CSV_HEADER = ("theorem,seed,alpha,beta,eta,mu,k,p,q,m,M,gamma,delta,x,"
@@ -19,6 +19,10 @@ KERNEL_HUMAN_HEADER = "             tau              closed              series 
 EVAL_RL = ["eval", "--alpha", "1", "--beta", "-1", "--eta", "0", "--mu", "0",
            "--k", "0", "--fn", "affine:1,1", "--x", "1",
            "--mode", "definition-only"]
+# strict parameters whose operator prefactor x^(-(k+1)(alpha+beta+2mu))
+# overflows at x = 1e-300
+EVAL_OVERFLOW = ["eval", "--alpha", "1.5", "--beta", "0.5", "--eta", "-0.3", "--mu", "0.9",
+                 "--k", "2", "--x", "1e-300"]
 
 
 def run(argv, capsys):
@@ -102,6 +106,14 @@ class TestKernel:
         code, _, err = run(self.ARGS + ["--points", "999"], capsys)
         assert code == 3
         assert "converge" in err
+
+
+@pytest.mark.parametrize("argv", [EVAL_OVERFLOW, ["kernel", "--points", "3", "--x", "1e-300"]],
+                         ids=["eval", "kernel"])
+def test_overflow_is_a_numeric_error(capsys, argv):
+    code, _, err = run(argv, capsys)
+    assert code == 3
+    assert err.startswith("numeric error: ") and "is not finite" in err
 
 
 class TestCheck:
@@ -381,3 +393,42 @@ def test_selftest_reports_every_failing_check(capsys, monkeypatch):
     assert f"FAIL  {names[4]}: RuntimeError: no rule" in lines
     assert sum(line.startswith("ok    ") for line in lines) == 5
     assert lines[-1] == "5 of 7 checks passed"
+
+
+# each library name the battery binds in hyperk.cli, and the checks that call it
+SELFTEST_CALLERS = {
+    "log_gamma": ("log-gamma golden values", "hypergeometric golden values",
+                  "unit image against its closed form"),
+    "pochhammer": ("pochhammer and beta golden values",),
+    "beta": ("pochhammer and beta golden values", "quadrature nodes and moments"),
+    "gauss_2f1": ("hypergeometric golden values",),
+    "apply_operator": ("reduction to the plain fractional integral", "unit image against its closed form"),
+    "rl_k_integral": ("reduction to the plain fractional integral",),
+    "kernel_closed": ("kernel series against closed form",),
+    "kernel_series": ("kernel series against closed form",),
+    "operator_of_one": ("unit image against its closed form",),
+}
+
+
+@pytest.mark.parametrize("name", SELFTEST_CALLERS)
+def test_selftest_fails_on_nan(capsys, monkeypatch, name):
+    """A NaN compares false with every allowance, so a library function
+    that returns NaN fails each check that calls it, and only those."""
+    nan = OperatorResult(math.nan, math.nan, 128) if name == "apply_operator" else math.nan
+    monkeypatch.setattr(cli, name, lambda *args, **kwargs: nan)
+    code, out, _ = run(["selftest"], capsys)
+    assert code == 1
+    failed = [line[6:].split(":")[0] for line in out.splitlines() if line.startswith("FAIL  ")]
+    assert failed == [check for check, _ in cli._selftest_checks() if check in SELFTEST_CALLERS[name]]
+    assert out.splitlines()[-1] == f"{7 - len(failed)} of 7 checks passed"
+
+
+def test_selftest_fails_on_inf_against_inf(capsys, monkeypatch):
+    """inf - inf is NaN, so a kernel whose closed form and series are both
+    inf fails at its first case."""
+    for name in ("kernel_closed", "kernel_series"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: math.inf)
+    code, out, _ = run(["selftest"], capsys)
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL  kernel series against closed form: kernel series at alpha=0.5, tau=0.9 = inf, want inf"]

@@ -37,6 +37,8 @@ from oracles import OracleDisagreement, breakpoints, checked_oracle_images, orac
 
 ONE = PowerFn(1.0, 0.0)
 RL_CASE = OperatorParams(1.0, -1.0, 0.0, 0.0, 0.0, validation_mode=DEFINITION_ONLY)
+# strict parameters whose prefactor x^(-(k+1)(alpha+beta+2mu)) overflows at x = 1e-300
+OVERFLOWING = OperatorParams(1.5, 0.5, -0.3, 0.9, 2.0)
 
 
 def strict_params(seed):
@@ -910,7 +912,32 @@ class TestRlIntegralAndNorm:
         assert rl_k_integral(0.5, 0.0, ONE, 1.0) == pytest.approx(
             2.0 / math.sqrt(math.pi), rel=1e-12)
 
+    def test_rl_overflowing_sum_raises(self):
+        """Both halves are finite; their scaled sum is not."""
+        with pytest.raises(EvaluationError, match="rl_k_integral value is not finite") as exc_info:
+            rl_k_integral(1.0, 0.0, AffineFn(1.7e308, 0.0), 2.0)
+        assert exc_info.value.node is None
+
     def test_rl_rejects_bad_alpha(self):
         with pytest.raises((DomainError, ValidationError)):
             rl_k_integral(0.0, 0.0, ONE, 1.0)
 
+
+
+OVERFLOWING_CALLS = {
+    "apply_operator": lambda: apply_operator(OVERFLOWING, ONE, 1e-300),
+    "operator_images": lambda: operator_images(OVERFLOWING, (ONE, AffineFn(1.0, 1.0)), 1e-300),
+    "operator_of_one": lambda: operator_of_one(OVERFLOWING, 1e-300),
+    "kernel_closed": lambda: kernel_closed(OVERFLOWING, 1e-300, 5e-301),
+    "kernel_series": lambda: kernel_series(OVERFLOWING, 1e-300, 5e-301, n_terms=5),
+    "rl_k_integral": lambda: rl_k_integral(3.0, 0.0, ONE, 1e300),
+}
+
+
+@pytest.mark.parametrize("entry", OVERFLOWING_CALLS)
+def test_an_overflowing_scale_raises_evaluation_error(entry):
+    """A scale that math.exp cannot represent is an EvaluationError with no
+    node, like an overflowing image, not a bare OverflowError."""
+    with pytest.raises(EvaluationError, match="is not finite") as exc_info:
+        OVERFLOWING_CALLS[entry]()
+    assert exc_info.value.node is None

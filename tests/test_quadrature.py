@@ -357,6 +357,15 @@ def test_evaluation_error_carries_node():
     assert node > 0.5
 
 
+def test_overflowing_sum_raises_without_a_node():
+    """1.7e308 is finite at every node, but the weights sum to
+    B(0.1, 1) = 10, so the sum overflows: the error names no node, and no
+    floating-point warning is raised on the way."""
+    with pytest.raises(EvaluationError, match="integral is not finite") as exc_info:
+        integrate(gauss_jacobi_rule(0.0, -0.9, 8), lambda u: np.full_like(u, 1.7e308))
+    assert exc_info.value.node is None
+
+
 @pytest.mark.parametrize(
     "a_exp,b_exp,order",
     [

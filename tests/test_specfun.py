@@ -11,6 +11,7 @@ from hyperk import (
     ConvergenceError,
     DivergenceError,
     DomainError,
+    HyperkError,
     beta,
     gauss_2f1,
     log_gamma,
@@ -46,6 +47,24 @@ class TestLogGamma:
                 err = abs(mp.mpf(log_gamma(x)) - mp.loggamma(mp.mpf(x)))
                 # |d log Gamma| is the relative error of the exponential
                 assert err <= 1e-13, f"log_gamma({x}) off by {float(err)}"
+
+    @pytest.mark.parametrize("x", [5e-324, 1e-320, 1e-310, 1.5e300, 1e303, 2.5e305])
+    def test_both_ends_of_the_float_range(self, x):
+        """Subnormal x, where pi / sin(pi x) overflows, and x above about
+        1.34e300, where the Dekker split of z + 1/2 overflows, still get
+        log Gamma to 1e-13 relative."""
+        with mp.workdps(40):
+            want = mp.loggamma(mp.mpf(x))
+            assert abs(mp.mpf(log_gamma(x)) / want - 1) <= 1e-13
+
+    @pytest.mark.parametrize("x", [1e306, 1e307, 1.7976931348623157e308])
+    def test_beyond_the_float_range_is_never_nan(self, x):
+        """log Gamma(x) exceeds the largest double here."""
+        try:
+            value = log_gamma(x)
+        except HyperkError:
+            return
+        assert value == math.inf
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, float("nan"), float("inf")])
     def test_rejects_nonpositive(self, bad):
